@@ -96,7 +96,8 @@ class MetaOptOracleBalancer final : public cluster::Balancer {
 
 /// Any regressor usable as Origami's benefit model (GBDT, MLP, ridge, or a
 /// hand-written heuristic): Table-1 features in, predicted JCT benefit
-/// (seconds) out.
+/// (seconds) out. Candidates are scored on the analysis pool, so it must be
+/// safe to call concurrently.
 using BenefitPredictor = std::function<double(std::span<const float>)>;
 
 /// Origami's online policy (§4.2): a trained regressor predicts each

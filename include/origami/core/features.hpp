@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,6 +43,14 @@ class FeatureExtractor {
   /// can append rows to a Dataset in candidate order deterministically.
   [[nodiscard]] std::vector<std::array<float, kFeatureCount>> extract_batch(
       std::span<const fsns::NodeId> dirs) const;
+
+  /// Extracts and scores one candidate per directory on the analysis pool:
+  /// score i is `predict` of dirs[i]'s features, written to its own slot,
+  /// so scores are bit-identical at any thread count. `predict` must be
+  /// safe to call concurrently.
+  [[nodiscard]] std::vector<double> score_batch(
+      std::span<const fsns::NodeId> dirs,
+      const std::function<double(std::span<const float>)>& predict) const;
 
  private:
   const fsns::DirTree* tree_;

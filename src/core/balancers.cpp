@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 
 namespace origami::core {
 
@@ -64,6 +65,12 @@ std::vector<cluster::MigrationDecision> OrigamiBalancer::rebalance(
   std::uint64_t inode_budget = params_.max_inodes_per_epoch;
   const sim::SimTime t_migrate = cost_model_.params().t_migrate_per_inode;
 
+  // Scores are a pure function of last-epoch features, and nothing below
+  // changes those (`exclude` and `apply_migration` touch only ownership),
+  // so each candidate is scored once per call, however many attempts see it.
+  std::unordered_map<NodeId, double> score;
+  std::vector<NodeId> unscored;
+
   // Rejected candidates are excluded and retried with the next-best pick;
   // only *executed* migrations consume the per-epoch budget.
   int moves = 0;
@@ -75,13 +82,20 @@ std::vector<cluster::MigrationDecision> OrigamiBalancer::rebalance(
         view.candidates(params_.max_candidates, params_.min_subtree_ops);
     if (cands.empty()) break;
 
+    unscored.clear();
+    for (NodeId s : cands) {
+      if (!score.contains(s)) unscored.push_back(s);
+    }
+    const std::vector<double> fresh = fx.score_batch(unscored, predictor_);
+    for (std::size_t i = 0; i < unscored.size(); ++i) {
+      score.emplace(unscored[i], fresh[i]);
+    }
+
     // MDS-0's balancer simply takes the highest predicted benefit (§4.2).
     double best_pred = params_.min_predicted_benefit;
     NodeId best_subtree = fsns::kInvalidNode;
-    std::array<float, kFeatureCount> feat{};
     for (NodeId s : cands) {
-      fx.extract(s, feat);
-      const double pred = predictor_(feat);
+      const double pred = score.at(s);
       if (pred > best_pred) {
         best_pred = pred;
         best_subtree = s;
@@ -159,12 +173,9 @@ std::vector<cluster::MigrationDecision> MlTreeBalancer::rebalance(
 
   auto cands = view.candidates(params_.max_candidates, params_.min_subtree_ops);
   if (cands.empty()) return {};
-  std::vector<double> popularity(cands.size());
-  std::array<float, kFeatureCount> feat{};
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    fx.extract(cands[i], feat);
-    popularity[i] = std::max(0.0, model_->predict(feat));
-  }
+  std::vector<double> popularity = fx.score_batch(
+      cands, [&](std::span<const float> x) { return model_->predict(x); });
+  for (double& p : popularity) p = std::max(0.0, p);
   // Hottest *predicted* subtrees first — predictions, not measurements,
   // drive everything below; mispredicted loads translate into overshoot.
   std::vector<std::size_t> order(cands.size());

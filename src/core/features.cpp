@@ -75,4 +75,23 @@ std::vector<std::array<float, kFeatureCount>> FeatureExtractor::extract_batch(
   return rows;
 }
 
+std::vector<double> FeatureExtractor::score_batch(
+    std::span<const fsns::NodeId> dirs,
+    const std::function<double(std::span<const float>)>& predict) const {
+  std::vector<double> scores(dirs.size());
+  // A GBDT scores a row in microseconds, so an epoch's few hundred
+  // candidates are already worth spreading over the pool.
+  common::parallel_for(
+      common::analysis_pool(), dirs.size(),
+      [&](std::size_t begin, std::size_t end) {
+        std::array<float, kFeatureCount> row{};
+        for (std::size_t i = begin; i < end; ++i) {
+          extract(dirs[i], row);
+          scores[i] = predict(row);
+        }
+      },
+      /*min_chunk=*/64);
+  return scores;
+}
+
 }  // namespace origami::core

@@ -70,6 +70,13 @@ class GbdtTrainer {
 
     pred_.assign(n_, mean);
     grad_.assign(n_, 0.0f);
+    // Validation predictions are kept as running sums, like `pred_`: each
+    // new tree is added once, base score first and trees in order, which
+    // is exactly `GbdtModel::predict`'s summation. Early stopping costs
+    // O(rounds × rows) and sees the same RMSE series bit for bit.
+    const bool early_stopping =
+        valid != nullptr && params_.early_stopping_rounds > 0;
+    std::vector<double> valid_pred(early_stopping ? valid->size() : 0, mean);
 
     double best_valid = std::numeric_limits<double>::infinity();
     int rounds_since_best = 0;
@@ -82,10 +89,13 @@ class GbdtTrainer {
       for (std::size_t i = 0; i < n_; ++i) {
         pred_[i] += tree.predict(data_.row(i));
       }
+      for (std::size_t i = 0; i < valid_pred.size(); ++i) {
+        valid_pred[i] += tree.predict(valid->row(i));
+      }
       model.trees_.push_back(std::move(tree));
 
-      if (valid != nullptr && params_.early_stopping_rounds > 0) {
-        const double v = rmse(model.predict_batch(*valid), valid->labels());
+      if (early_stopping) {
+        const double v = rmse(valid_pred, valid->labels());
         if (v + 1e-12 < best_valid) {
           best_valid = v;
           rounds_since_best = 0;

@@ -113,6 +113,11 @@ Trace make_trace_rw(const TraceRwConfig& cfg) {
   // subtree balancers feed on.
   ZipfDistribution header_zipf(shared_headers.size(), 0.9);
   trace.ops.reserve(cfg.ops);
+  // A compile unit emits several ops; the last unit is cut at `cfg.ops`
+  // so the stream never outgrows its reservation.
+  auto emit = [&](const MetaOp& op) {
+    if (trace.ops.size() < cfg.ops) trace.ops.push_back(op);
+  };
   std::uint32_t active_project = 0;
   std::uint64_t ops_in_project = 0;
   const std::uint64_t ops_per_project_wave =
@@ -131,31 +136,30 @@ Trace make_trace_rw(const TraceRwConfig& cfg) {
     const std::size_t si = rng.uniform(mod.sources.size());
 
     // One compile unit: stat+open source, stat headers, emit object.
-    trace.ops.push_back({OpType::kStat, mod.sources[si], fsns::kInvalidNode, 0});
-    trace.ops.push_back({OpType::kOpen, mod.sources[si], fsns::kInvalidNode, 4096});
+    emit({OpType::kStat, mod.sources[si], fsns::kInvalidNode, 0});
+    emit({OpType::kOpen, mod.sources[si], fsns::kInvalidNode, 4096});
     const std::uint32_t hdr_reads = 3 + static_cast<std::uint32_t>(rng.uniform(6));
     for (std::uint32_t h = 0; h < hdr_reads && trace.ops.size() < cfg.ops; ++h) {
       const NodeId hdr = rng.chance(0.7)
                              ? shared_headers[header_zipf(rng)]
                              : mod.local_headers[rng.uniform(mod.local_headers.size())];
-      trace.ops.push_back({OpType::kStat, hdr, fsns::kInvalidNode, 0});
+      emit({OpType::kStat, hdr, fsns::kInvalidNode, 0});
     }
     if (rng.chance(0.4)) {
-      trace.ops.push_back({OpType::kUnlink, mod.objects[si], fsns::kInvalidNode, 0});
+      emit({OpType::kUnlink, mod.objects[si], fsns::kInvalidNode, 0});
     }
-    trace.ops.push_back({OpType::kCreate, mod.objects[si], fsns::kInvalidNode, 16384});
+    emit({OpType::kCreate, mod.objects[si], fsns::kInvalidNode, 16384});
     if (rng.chance(0.12)) {
-      trace.ops.push_back({OpType::kReaddir, mod.src_dir, fsns::kInvalidNode, 0});
+      emit({OpType::kReaddir, mod.src_dir, fsns::kInvalidNode, 0});
     }
     if (rng.chance(0.05)) {
       // install step: rename the object within the build tree
-      trace.ops.push_back({OpType::kRename, mod.objects[si], mod.build_dir, 0});
+      emit({OpType::kRename, mod.objects[si], mod.build_dir, 0});
     }
     if (rng.chance(0.08)) {
-      trace.ops.push_back({OpType::kSetattr, mod.sources[si], fsns::kInvalidNode, 0});
+      emit({OpType::kSetattr, mod.sources[si], fsns::kInvalidNode, 0});
     }
   }
-  trace.ops.resize(cfg.ops);
   return trace;
 }
 
@@ -429,6 +433,7 @@ Trace make_trace_falcon(const TraceFalconConfig& cfg) {
   trace.arrivals.reserve(cfg.ops);
   sim::SimTime now = 0;
   auto emit = [&](const MetaOp& op, double rate) {
+    if (trace.ops.size() >= cfg.ops) return;  // never outgrow the reservation
     now += std::max<sim::SimTime>(
         1, static_cast<sim::SimTime>(rng.exponential(rate) *
                                      static_cast<double>(sim::kSecond)));
@@ -492,8 +497,6 @@ Trace make_trace_falcon(const TraceFalconConfig& cfg) {
            cfg.storm_rate);
     }
   }
-  trace.ops.resize(cfg.ops);
-  trace.arrivals.resize(cfg.ops);
   return trace;
 }
 
@@ -545,6 +548,7 @@ Trace make_trace_midas(const TraceMidasConfig& cfg) {
   trace.arrivals.reserve(cfg.ops);
   sim::SimTime now = 0;
   auto emit = [&](const MetaOp& op, double rate) {
+    if (trace.ops.size() >= cfg.ops) return;  // never outgrow the reservation
     now += std::max<sim::SimTime>(
         1, static_cast<sim::SimTime>(rng.exponential(rate) *
                                      static_cast<double>(sim::kSecond)));
@@ -608,8 +612,6 @@ Trace make_trace_midas(const TraceMidasConfig& cfg) {
       }
     }
   }
-  trace.ops.resize(cfg.ops);
-  trace.arrivals.resize(cfg.ops);
   return trace;
 }
 

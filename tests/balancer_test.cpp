@@ -2,11 +2,19 @@
 // trigger, and the online balancing policies (Origami / ML-tree).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <mutex>
+
+#include "origami/cluster/replay.hpp"
+#include "origami/common/thread_pool.hpp"
 #include "origami/core/balancers.hpp"
 #include "origami/core/features.hpp"
 #include "origami/core/meta_opt.hpp"
 #include "origami/core/subtree.hpp"
 #include "origami/ml/gbdt.hpp"
+
+#include "support/ml_golden_configs.hpp"
 
 namespace origami::core {
 namespace {
@@ -283,6 +291,106 @@ TEST(MlTreeBalancer, IdleWhenBalanced) {
   const auto stats = fx.stats();
   const auto snap = make_snapshot(stats, {sim::millis(100), sim::millis(100)});
   EXPECT_TRUE(balancer.rebalance(snap, fx.tree, map).empty());
+}
+
+// Wraps Origami with a predictor that records every feature row it is asked
+// to score. After each call, every distinct row must have been scored at
+// most as often as there are directories carrying it in the call's view:
+// at most once per directory per `rebalance`.
+class CountingOrigami final : public cluster::Balancer {
+ public:
+  explicit CountingOrigami(std::shared_ptr<const ml::GbdtModel> model)
+      : inner_(BenefitPredictor([this, model](std::span<const float> x) {
+                 std::lock_guard lock(mu_);
+                 std::array<float, kFeatureCount> row{};
+                 std::copy(x.begin(), x.end(), row.begin());
+                 ++scored_[row];
+                 return model->predict(x);
+               }),
+               cost::CostModel{}, OrigamiBalancer::Params{}) {}
+
+  [[nodiscard]] std::string name() const override { return "counting"; }
+
+  std::vector<cluster::MigrationDecision> rebalance(
+      const EpochSnapshot& snapshot, const fsns::DirTree& tree,
+      const mds::PartitionMap& map) override {
+    scored_.clear();
+    auto decisions = inner_.rebalance(snapshot, tree, map);
+    if (scored_.empty()) return decisions;
+    const SubtreeView view = SubtreeView::build(tree, *snapshot.dir_stats, map);
+    const FeatureExtractor fx(tree, view);
+    std::map<std::array<float, kFeatureCount>, std::uint64_t> dirs_with;
+    for (NodeId d : tree.directories()) ++dirs_with[fx.extract(d)];
+    for (const auto& [row, n] : scored_) {
+      over_scored_ += n > dirs_with[row] ? 1 : 0;
+    }
+    if (decisions.size() >= 2) ++multi_move_calls_;
+    return decisions;
+  }
+
+  std::uint64_t over_scored_ = 0;
+  std::uint64_t multi_move_calls_ = 0;
+
+ private:
+  std::mutex mu_;
+  std::map<std::array<float, kFeatureCount>, std::uint64_t> scored_;
+  OrigamiBalancer inner_;
+};
+
+TEST(OrigamiBalancer, ScoresEachCandidateAtMostOncePerCall) {
+  // Seed 1 keeps rebalancing to the end of the run, with several calls
+  // that migrate more than once: each of those runs the greedy loop over
+  // the candidate pool repeatedly.
+  const wl::Trace trace = testing::ml_golden_trace(1);
+  const cluster::ReplayOptions opt = testing::ml_golden_replay_options(1);
+  CountingOrigami balancer(reads_proxy_model());
+  const auto result = cluster::replay_trace(trace, opt, balancer);
+  EXPECT_GT(result.migrations, 0u);
+  EXPECT_GT(balancer.multi_move_calls_, 0u);
+  EXPECT_EQ(balancer.over_scored_, 0u);
+}
+
+TEST(FeatureExtractor, ScoresBitIdenticalAtOneAndFourAnalysisThreads) {
+  // The scoring `ml-tree` and `origami` run on the analysis pool: every
+  // directory of a full-size Trace-RW namespace, scored serially in
+  // candidate order and by `score_batch` at 1 and 4 threads.
+  wl::TraceRwConfig cfg;
+  cfg.ops = 20'000;
+  const wl::Trace trace = wl::make_trace_rw(cfg);
+  std::vector<DirEpochStats> stats(trace.tree.size());
+  for (const wl::MetaOp& op : trace.ops) {
+    const NodeId dir = trace.tree.is_dir(op.target)
+                           ? op.target
+                           : trace.tree.parent(op.target);
+    ++stats[dir].reads;
+    stats[dir].rct += sim::micros(10);
+  }
+  mds::PartitionMap map(trace.tree, 5);
+  mds::partitioner::fine_hash(map);
+  const SubtreeView view = SubtreeView::build(trace.tree, stats, map);
+  const FeatureExtractor fx(trace.tree, view);
+  const std::vector<NodeId> dirs = trace.tree.directories();
+  ASSERT_GT(dirs.size(), 1000u);
+  const auto model = reads_proxy_model();
+  const auto predict = [&](std::span<const float> x) {
+    return model->predict(x);
+  };
+
+  std::vector<double> serial(dirs.size());
+  for (std::size_t i = 0; i < dirs.size(); ++i) {
+    serial[i] = model->predict(fx.extract(dirs[i]));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_analysis_threads(threads);
+    const std::vector<double> scores = fx.score_batch(dirs, predict);
+    ASSERT_EQ(scores.size(), serial.size());
+    for (std::size_t i = 0; i < dirs.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scores[i]),
+                std::bit_cast<std::uint64_t>(serial[i]))
+          << threads << " threads, dir " << dirs[i];
+    }
+  }
+  common::set_analysis_threads(1);
 }
 
 TEST(StaticBalancer, NamesAndPartitioning) {

@@ -4,7 +4,9 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "origami/common/rng.hpp"
 #include "origami/ml/dataset.hpp"
@@ -149,6 +151,62 @@ TEST(Gbdt, EarlyStoppingShortensTraining) {
   // The step function converges almost immediately; early stopping must
   // cut far below the 400-round budget.
   EXPECT_LT(model.num_trees(), 100);
+}
+
+std::string saved(const GbdtModel& model) {
+  std::ostringstream out;
+  model.save(out);
+  return out.str();
+}
+
+TEST(Gbdt, EarlyStoppingStopsAtFirstRoundWithoutImprovement) {
+  // Noisy labels and a steep learning rate: validation RMSE bottoms out
+  // after a few dozen rounds, well inside the budget.
+  const Dataset data = make_linear_data(1000, 21, 0.5);
+  auto [train, valid] = data.split(0.8, 3);
+  GbdtParams params;
+  params.rounds = 400;
+  params.max_leaves = 8;
+  params.learning_rate = 0.3;
+  params.early_stopping_rounds = 5;
+  const GbdtModel stopped = GbdtModel::train(train, params, &valid);
+  const int t = stopped.num_trees();
+  ASSERT_GT(t, 2 * params.early_stopping_rounds);
+  ASSERT_LT(t, params.rounds);
+
+  // The validation curve, from independent fits of k rounds each: T must be
+  // the first round at which `early_stopping_rounds` rounds have passed
+  // without a new best.
+  double best = std::numeric_limits<double>::infinity();
+  int since_best = 0;
+  int first_stop = 0;
+  for (int k = 1; k <= t && first_stop == 0; ++k) {
+    GbdtParams prefix = params;
+    prefix.rounds = k;
+    const double v =
+        rmse(GbdtModel::train(train, prefix).predict_batch(valid),
+             valid.labels());
+    if (v + 1e-12 < best) {
+      best = v;
+      since_best = 0;
+    } else if (++since_best >= params.early_stopping_rounds) {
+      first_stop = k;
+    }
+  }
+  EXPECT_EQ(first_stop, t);
+}
+
+TEST(Gbdt, EarlyStoppedModelEqualsPlainFitOfItsLength) {
+  const Dataset data = make_linear_data(1000, 22, 0.5);
+  auto [train, valid] = data.split(0.8, 4);
+  GbdtParams params;
+  params.rounds = 400;
+  params.learning_rate = 0.3;
+  params.early_stopping_rounds = 5;
+  const GbdtModel stopped = GbdtModel::train(train, params, &valid);
+  ASSERT_LT(stopped.num_trees(), params.rounds);
+  params.rounds = stopped.num_trees();
+  EXPECT_EQ(saved(GbdtModel::train(train, params)), saved(stopped));
 }
 
 TEST(Gbdt, LevelWiseAlsoLearns) {

@@ -7,14 +7,40 @@
 // so two runs compare as whole strings. Doubles are rendered as hexfloats:
 // equality means bit-identical arithmetic, not "close enough".
 
+#include <cstdint>
 #include <ios>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "origami/cluster/metrics.hpp"
 #include "origami/fs/live_replay.hpp"
 
 namespace origami::testing {
+
+/// A multi-line fingerprint as the body of a C string literal, for the
+/// regeneration tools that print the committed goldens.
+inline std::string escape_newlines(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// FNV-1a over bytes, for fingerprints of whole text blobs (saved models).
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 inline std::string run_result_fingerprint(const cluster::RunResult& r) {
   std::ostringstream out;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "origami/common/rng.hpp"
@@ -415,6 +416,38 @@ TEST(TraceFamilies, DeterministicPerSeed) {
   m2.seed += 1;
   EXPECT_NE(fingerprint(make_trace_midas(m)),
             fingerprint(make_trace_midas(m2)));
+}
+
+TEST(TraceFamilies, GenerationStopsAtTheReservedOpCount) {
+  // Each family reserves exactly `ops` entries. Generating past them would
+  // reallocate the op and arrival vectors to twice the capacity, which
+  // these seeds did when the last burst was allowed to overshoot.
+  constexpr std::uint64_t kOps = 400'000;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TraceRwConfig r;
+    r.seed = seed;
+    r.ops = kOps;
+    const Trace rw = make_trace_rw(r);
+    EXPECT_EQ(rw.ops.size(), kOps);
+    EXPECT_EQ(rw.ops.capacity(), kOps);
+
+    TraceFalconConfig f;
+    f.seed = seed;
+    f.ops = kOps;
+    const Trace falcon = make_trace_falcon(f);
+    EXPECT_EQ(falcon.ops.size(), kOps);
+    EXPECT_EQ(falcon.ops.capacity(), kOps);
+    EXPECT_EQ(falcon.arrivals.capacity(), kOps);
+
+    TraceMidasConfig m;
+    m.seed = seed;
+    m.ops = kOps;
+    const Trace midas = make_trace_midas(m);
+    EXPECT_EQ(midas.ops.size(), kOps);
+    EXPECT_EQ(midas.ops.capacity(), kOps);
+    EXPECT_EQ(midas.arrivals.capacity(), kOps);
+  }
 }
 
 // ------------------------------------------------ timed trace (de)serialise --

@@ -18,22 +18,6 @@
 #include "../tests/support/arrival_golden_configs.hpp"
 #include "../tests/support/fingerprints.hpp"
 
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main() {
   using namespace origami;
 
@@ -58,8 +42,10 @@ int main() {
           }
           const auto result =
               cluster::replay_trace(trace, opt, *made.value());
+          const std::string fp = testing::escape_newlines(
+              testing::run_result_fingerprint(result));
           std::printf("    {\"epoch/%s\",\n     \"%s\"},\n", tag.c_str(),
-                      escape(testing::run_result_fingerprint(result)).c_str());
+                      fp.c_str());
         }
         {
           const auto opt = testing::golden_live_options(seed, faulted, open);
@@ -67,8 +53,10 @@ int main() {
           fopt.shards = 4;
           fs::OrigamiFs fsys(fopt);
           const auto stats = fs::replay_on_live(trace, fsys, opt);
+          const std::string fp = testing::escape_newlines(
+              testing::live_stats_fingerprint(stats));
           std::printf("    {\"live/%s\",\n     \"%s\"},\n", tag.c_str(),
-                      escape(testing::live_stats_fingerprint(stats)).c_str());
+                      fp.c_str());
         }
       }
     }

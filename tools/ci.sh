@@ -266,6 +266,23 @@ set -e
   { echo "--shard-threads=2x exited ${rc_threads}, want 2"; exit 1; }
 echo "malformed --shard-threads rejected with exit 2"
 
+# 3f. Host-clock benchmark smoke: perfbench/ is a CMake project of its own
+#     that builds the libraries plus perfbench_runner. A smoke round of each
+#     workload runs every output check (completed ops, predict_batch,
+#     I1-I6, KV and namespace shadows); --traced adds the N- vs 1-thread
+#     fingerprint checks. The runner exits non-zero on any failed check.
+echo "=== [release] perfbench smoke ==="
+cmake -S "${ROOT}/perfbench" -B "${BUILD_ROOT}/perfbench" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "${BUILD_ROOT}/perfbench" --target perfbench_runner -j "${JOBS}"
+for w in rw-mltree midas-faulted falcon-live; do
+  "${BUILD_ROOT}/perfbench/perfbench_runner" --workload "${w}" --seed 1 --smoke
+done
+for w in rw-mltree falcon-live; do
+  "${BUILD_ROOT}/perfbench/perfbench_runner" --workload "${w}" --seed 1 \
+    --smoke --traced
+done
+
 # 4. ThreadSanitizer over both concurrent planes: the determinism suite
 #    drives the parallel analysis plane (window analysis / Meta-OPT scoring
 #    / feature extraction) at 8 threads AND the live serving plane (shard
@@ -282,9 +299,10 @@ cmake -B "${TSAN_DIR}" -S "${ROOT}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 echo "=== [tsan] build ==="
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-  --target determinism_test common_test concurrency_test meta_opt_test
+  --target determinism_test common_test concurrency_test meta_opt_test \
+  balancer_test ml_golden_test
 echo "=== [tsan] ctest (analysis + serving planes) ==="
 ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 300 \
-  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|MpmcQueue|BoundedMpmcQueue|SmallSet|MetaOpt|EvaluateWindow)'
+  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|MpmcQueue|BoundedMpmcQueue|SmallSet|MetaOpt|EvaluateWindow|FeatureExtractor|MlGolden)'
 
 echo "=== CI OK ==="
