@@ -1,7 +1,8 @@
 // The ML-path golden byte-identity contract: Meta-OPT labels on a small
 // Trace-RW, the GBDT pair fitted to them (saved text, FNV-1a folded), and
 // whole-run fingerprints of the `ml-tree` and `origami` replays those
-// models drive, over three seeds. The goldens in
+// models drive, over three seeds, plus the live form of every policy that
+// has one (final shard map included), clean and faulted. The goldens in
 // tests/support/ml_goldens.inc were captured before early stopping became
 // a running validation sum and before candidates were scored once per
 // `rebalance` call; regenerate them only with tools/ml_goldens.cpp and
@@ -28,6 +29,28 @@ TEST(MlGolden, ModelsAndReplaysMatchGoldens) {
               g.ml_tree);
     EXPECT_EQ(testing::ml_policy_fingerprint("origami", g.seed, models),
               g.origami);
+  }
+}
+
+// One fingerprint per live policy, clean and with crashes armed, checked at
+// one and three shard-serving workers (the live engine's output does not
+// depend on the worker count).
+TEST(MlGolden, LivePoliciesMatchGoldens) {
+  std::uint64_t seed = 0;
+  core::TrainedModels models;
+  for (const MlLiveGolden& g : kMlLiveGoldens) {
+    if (g.seed != seed) {
+      seed = g.seed;
+      models = testing::ml_golden_models(seed);
+    }
+    for (std::uint32_t threads : {1u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(g.seed) + " " + g.spec +
+                   (g.faulted ? " faulted" : " clean") + " threads " +
+                   std::to_string(threads));
+      EXPECT_EQ(testing::ml_live_fingerprint(g.spec, g.seed, models,
+                                             g.faulted, threads),
+                g.fingerprint);
+    }
   }
 }
 

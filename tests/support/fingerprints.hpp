@@ -7,6 +7,7 @@
 // so two runs compare as whole strings. Doubles are rendered as hexfloats:
 // equality means bit-identical arithmetic, not "close enough".
 
+#include <algorithm>
 #include <cstdint>
 #include <ios>
 #include <sstream>
@@ -120,6 +121,28 @@ inline std::string live_stats_fingerprint(const fs::LiveReplayStats& s) {
       << f.torn_tail_truncations << ' ' << f.fenced_rejections << ' '
       << f.prepared_migrations << ' ' << f.committed_migrations << ' '
       << f.recovery_windows << '\n';
+  return out.str();
+}
+
+/// `live_stats_fingerprint` plus the final per-directory shard map of the
+/// live namespace ((ino, shard) pairs in ino order, FNV-1a folded), so a
+/// change in *where* subtrees ended up shows even when the per-shard
+/// counters happen to agree.
+inline std::string live_run_fingerprint(const fs::LiveReplayStats& s,
+                                        fs::OrigamiFs& fsys) {
+  auto dirs = fsys.collect_activity(/*reset=*/false);
+  std::sort(dirs.begin(), dirs.end(),
+            [](const auto& a, const auto& b) { return a.ino < b.ino; });
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& d : dirs) {
+    for (std::uint64_t x : {static_cast<std::uint64_t>(d.ino),
+                            static_cast<std::uint64_t>(d.shard)}) {
+      h ^= x;
+      h *= 1099511628211ull;
+    }
+  }
+  std::ostringstream out;
+  out << live_stats_fingerprint(s) << dirs.size() << ':' << h << '\n';
   return out.str();
 }
 

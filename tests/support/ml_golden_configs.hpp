@@ -1,16 +1,20 @@
 #pragma once
 
 // The model pipeline behind the ML-path golden fingerprints: Meta-OPT label
-// generation on a small Trace-RW, the GBDT pair fitted to those labels, and
-// `ml-tree` / `origami` replays driven by the fitted models.
-// tools/ml_goldens.cpp captured the fingerprints from the tree before the
-// GBDT's early stopping became a running validation sum and the balancers
-// began scoring candidates once per call on the analysis pool;
+// generation on a small Trace-RW, the GBDT pair fitted to those labels,
+// `ml-tree` / `origami` replays driven by the fitted models, and the live
+// form of every policy that has one, replayed on the live OrigamiFs.
+// tools/ml_goldens.cpp captured the simulator fingerprints from the tree
+// before the GBDT's early stopping became a running validation sum and the
+// balancers began scoring candidates once per call on the analysis pool,
+// and the live ones before the live policies shared one subtree view,
+// one two-phase move and one freeze walk;
 // tests/ml_golden_test.cpp recomputes them and demands the same bytes.
 // Change anything here and the committed goldens are void — regenerate
 // with the tool and re-audit the diff.
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -19,6 +23,7 @@
 #include "origami/policy/registry.hpp"
 #include "origami/wl/generators.hpp"
 
+#include "arrival_golden_configs.hpp"
 #include "fingerprints.hpp"
 
 namespace origami::testing {
@@ -26,6 +31,10 @@ namespace origami::testing {
 /// Training traces come from a sibling seed, as in a deployment that fits
 /// on yesterday's trace and serves today's.
 inline constexpr std::uint64_t kMlGoldenSiblingOffset = 98;
+
+/// Every registry entry with a live-mode form, at its default parameters.
+inline constexpr const char* kMlLiveGoldenSpecs[] = {
+    "single", "origami", "greedy-spill", "hash-repart", "load-frac"};
 
 inline wl::Trace ml_golden_trace(std::uint64_t seed) {
   wl::TraceRwConfig cfg;
@@ -87,6 +96,35 @@ inline std::string ml_policy_fingerprint(const std::string& spec,
   if (!made.is_ok()) return "policy error: " + made.status().to_string();
   return run_result_fingerprint(
       cluster::replay_trace(ml_golden_trace(seed), opt, *made.value()));
+}
+
+/// Whole-run fingerprint of the live form of `spec` replaying the seed's
+/// evaluation trace on a 5-shard OrigamiFs, with the golden live options
+/// (clean, or faulted with crashes armed) at `shard_threads` workers.
+inline std::string ml_live_fingerprint(const std::string& spec,
+                                       std::uint64_t seed,
+                                       const core::TrainedModels& models,
+                                       bool faulted,
+                                       std::uint32_t shard_threads) {
+  policy::PolicyContext ctx;
+  ctx.benefit_model = models.benefit;
+  ctx.popularity_model = models.popularity;
+  auto made = policy::Registry::builtin().make_live(spec, ctx);
+  if (!made.is_ok()) return "policy error: " + made.status().to_string();
+  const std::unique_ptr<policy::LivePolicy> live = std::move(made).value();
+
+  fs::OrigamiFs::Options fopt;
+  fopt.shards = 5;
+  fs::OrigamiFs fsys(fopt);
+  fs::LiveReplayOptions opt =
+      golden_live_options(seed, faulted, /*open=*/false);
+  opt.shard_threads = shard_threads;
+  opt.on_epoch = [&live](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
+    return live->on_epoch(f, c);
+  };
+  const fs::LiveReplayStats stats =
+      fs::replay_on_live(ml_golden_trace(seed), fsys, opt);
+  return live_run_fingerprint(stats, fsys);
 }
 
 }  // namespace origami::testing
