@@ -1,33 +1,34 @@
 // Appendix bench (beyond the paper): run the whole Origami loop against
 // the *live* OrigamiFS service (real KV shards, real migrations, no cost
-// simulation): train a benefit model in the simulator, then let
-// LiveOrigamiBalancer drive the live Migrator while a Trace-RW replay
-// hammers the shards. Reported balance is measured from real per-shard
-// dirent operations.
+// simulation): train a benefit model in the simulator, then let the
+// registry's live `origami` policy drive the live Migrator while a
+// Trace-RW replay hammers the shards. Reported balance is measured from
+// real per-shard dirent operations.
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
-#include "origami/core/live_balancer.hpp"
 #include "origami/fs/live_replay.hpp"
+#include "origami/policy/registry.hpp"
 
 using namespace origami;
 
 namespace {
 
 fs::LiveReplayStats run_live(const wl::Trace& trace,
-                             core::LiveOrigamiBalancer* balancer) {
+                             policy::LivePolicy* live) {
   fs::OrigamiFs::Options fopt;
   fopt.shards = 5;
   fs::OrigamiFs fsys(fopt);
-  return fs::replay_on_live(
-      trace, fsys, /*epoch_ops=*/20'000,
-      balancer == nullptr
-          ? std::function<std::uint64_t(fs::OrigamiFs&)>{}
-          : [balancer](fs::OrigamiFs& f) -> std::uint64_t {
-              return balancer->rebalance_epoch(f).size();
-            });
+  fs::LiveReplayOptions opt;
+  opt.epoch_ops = 20'000;
+  if (live != nullptr) {
+    opt.on_epoch = [live](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
+      return live->on_epoch(f, c);
+    };
+  }
+  return fs::replay_on_live(trace, fsys, opt);
 }
 
 }  // namespace
@@ -46,11 +47,15 @@ int main() {
   // Unbalanced: everything stays on shard 0.
   const auto r_none = run_live(trace, nullptr);
   // Balanced: the simulator-trained model drives the live Migrator.
-  core::LiveOrigamiBalancer::Params p;
-  p.min_subtree_ops = 32;
-  p.min_predicted_benefit = 0.0;
-  core::LiveOrigamiBalancer balancer(models.benefit, p);
-  const auto r_bal = run_live(trace, &balancer);
+  policy::PolicyContext ctx;
+  ctx.benefit_model = models.benefit;
+  auto made = policy::Registry::builtin().make_live(
+      "origami:min-ops=32,min-benefit=0", ctx);
+  if (!made.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", made.status().to_string().c_str());
+    return 2;
+  }
+  const auto r_bal = run_live(trace, made.value().get());
 
   auto report = [&](const char* mode, const fs::LiveReplayStats& r) {
     std::printf("%-12s executed %lu (failed %lu), migrations %lu, "

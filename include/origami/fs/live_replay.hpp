@@ -16,11 +16,11 @@
 
 namespace origami::fs {
 
-/// Handle the live engine passes to the per-epoch hook, so an external
-/// balancer (core::LiveOrigamiBalancer) can consult shard health and report
-/// its two-phase transitions back into the shared journaling layer. The
-/// engine owns the journals and the pending-PREPARE set; the balancer only
-/// narrates what it is doing.
+/// Handle the live engine passes to the per-epoch hook, so a live policy
+/// (policy::LivePolicy) can consult shard health and report its two-phase
+/// transitions back into the shared journaling layer. The engine owns the
+/// journals and the pending-PREPARE set; the policy only narrates what it
+/// is doing.
 class LiveFaultContext {
  public:
   virtual ~LiveFaultContext() = default;
@@ -136,10 +136,13 @@ struct LiveReplayStats {
 ///
 /// Trace semantics are adapted to a real mutable namespace: every op's
 /// ancestor directories are materialised on first use; `create` upserts
-/// (recreates after unlink), `unlink`/`rmdir` ignore already-gone targets,
-/// `rename` skips occupied destinations. Every `epoch_ops` operations the
-/// `on_epoch` hook runs (wire `core::LiveOrigamiBalancer::rebalance_epoch`
-/// in, or leave null for an unbalanced run).
+/// (recreates after unlink, a setattr on an existing file), `unlink`
+/// ignores already-gone targets, `rmdir` is a no-op (replayed namespaces
+/// keep using removed directories), and `rename` is replayed as a
+/// `setattr` on the source, which is created first if missing. Every
+/// `epoch_ops` operations the `on_epoch` hook runs (wire a
+/// `policy::LivePolicy`'s `on_epoch` in, or leave it null for an
+/// unbalanced run).
 ///
 /// Execution is split across threads: a serial issuer resolves and mutates
 /// the namespace (preserving the exact seed op order), prices each request
@@ -159,10 +162,5 @@ struct LiveReplayStats {
 /// timeout + backoff charged to the client's clock.
 LiveReplayStats replay_on_live(const wl::Trace& trace, OrigamiFs& fsys,
                                const LiveReplayOptions& options);
-
-/// Fault-free convenience overload (the original API).
-LiveReplayStats replay_on_live(
-    const wl::Trace& trace, OrigamiFs& fsys, std::uint64_t epoch_ops,
-    const std::function<std::uint64_t(OrigamiFs&)>& on_epoch = nullptr);
 
 }  // namespace origami::fs

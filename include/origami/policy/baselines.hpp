@@ -1,15 +1,20 @@
 #pragma once
 
-// Three registered baseline policies beyond the paper's strategy set. Each
-// exists in both engine modes: a `cluster::Balancer` for the simulator and
-// a `policy::LivePolicy` for the live OrigamiFS service. All three are
-// deterministic (index-ordered scans, stable sorts, no RNG).
+// Three registered baseline policies beyond the paper's strategy set, in
+// both engine modes: a `cluster::Balancer` for the simulator and a
+// `policy::LivePolicy` for the live OrigamiFS service. The live form of
+// Origami sits beside them: all four live policies decide on one shared
+// subtree view of the Data Collector drain and narrate every move through
+// one two-phase PREPARE/COMMIT/ABORT helper. All are deterministic
+// (index-ordered scans, stable sorts, no RNG).
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "origami/cluster/balancer.hpp"
 #include "origami/core/balancers.hpp"
+#include "origami/ml/gbdt.hpp"
 #include "origami/policy/registry.hpp"
 
 namespace origami::policy {
@@ -108,6 +113,33 @@ class LoadFractionBalancer final : public cluster::Balancer {
  private:
   Params params_;
   core::RebalanceTrigger trigger_;
+};
+
+/// Live Origami, the §4.2 loop against the live service: when the raw
+/// per-shard op imbalance reaches the trigger (Lunule, no smoothing), score
+/// every uniform subtree's Table-1 features with the benefit model and move
+/// those predicted above `min_predicted_benefit`, highest first, to the
+/// least-loaded healthy shard unless the move would overshoot. A committed
+/// subtree is frozen for the rest of the epoch. No model, no moves.
+class LiveOrigamiPolicy final : public LivePolicy {
+ public:
+  struct Params {
+    double trigger_threshold = 0.05;
+    double min_predicted_benefit = 0.002;
+    /// Moves attempted per epoch; a copy rolled back because its
+    /// destination died still counts.
+    int max_moves_per_epoch = 8;
+    std::uint64_t min_subtree_ops = 16;
+  };
+
+  LiveOrigamiPolicy(std::shared_ptr<const ml::GbdtModel> model, Params params)
+      : model_(std::move(model)), params_(params) {}
+  std::uint64_t on_epoch(fs::OrigamiFs& fsys,
+                         fs::LiveFaultContext& ctx) override;
+
+ private:
+  std::shared_ptr<const ml::GbdtModel> model_;
+  Params params_;
 };
 
 /// Shared live-mode parameters of the baseline `LivePolicy` forms.

@@ -858,17 +858,4 @@ LiveReplayStats replay_on_live(const wl::Trace& trace, OrigamiFs& fsys,
   return engine.run();
 }
 
-LiveReplayStats replay_on_live(
-    const wl::Trace& trace, OrigamiFs& fsys, std::uint64_t epoch_ops,
-    const std::function<std::uint64_t(OrigamiFs&)>& on_epoch) {
-  LiveReplayOptions options;
-  options.epoch_ops = epoch_ops;
-  if (on_epoch != nullptr) {
-    options.on_epoch = [&on_epoch](OrigamiFs& f, LiveFaultContext&) {
-      return on_epoch(f);
-    };
-  }
-  return replay_on_live(trace, fsys, options);
-}
-
 }  // namespace origami::fs

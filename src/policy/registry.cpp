@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "origami/core/balancers.hpp"
-#include "origami/core/live_balancer.hpp"
 #include "origami/policy/baselines.hpp"
 
 namespace origami::policy {
@@ -56,45 +55,6 @@ class NullLivePolicy final : public LivePolicy {
   std::uint64_t on_epoch(fs::OrigamiFs&, fs::LiveFaultContext&) override {
     return 0;
   }
-};
-
-/// Live Origami: the §4.2 loop (LiveOrigamiBalancer) with shard health and
-/// two-phase narration wired through the engine's fault context.
-class LiveOrigamiPolicy final : public LivePolicy {
- public:
-  LiveOrigamiPolicy(std::shared_ptr<const ml::GbdtModel> model,
-                    core::LiveOrigamiBalancer::Params params)
-      : model_(std::move(model)), params_(params) {}
-
-  std::uint64_t on_epoch(fs::OrigamiFs& fsys,
-                         fs::LiveFaultContext& ctx) override {
-    core::LiveOrigamiBalancer::Params p = params_;
-    p.shard_down = [&ctx](std::uint32_t s) { return ctx.shard_down(s); };
-    p.on_phase = [&ctx](core::MigrationPhase ph,
-                        const core::LiveOrigamiBalancer::Move& m) {
-      switch (ph) {
-        case core::MigrationPhase::kPrepare:
-          ctx.record_prepare(m.subtree, m.from, m.to);
-          break;
-        case core::MigrationPhase::kCommit:
-          ctx.record_commit(m.subtree, m.from, m.to);
-          break;
-        case core::MigrationPhase::kAbort:
-          ctx.record_abort(m.subtree, m.from, m.to);
-          break;
-      }
-    };
-    core::LiveOrigamiBalancer balancer(model_, p);
-    std::uint64_t committed = 0;
-    for (const auto& m : balancer.rebalance_epoch(fsys)) {
-      if (!m.aborted) ++committed;
-    }
-    return committed;
-  }
-
- private:
-  std::shared_ptr<const ml::GbdtModel> model_;
-  core::LiveOrigamiBalancer::Params params_;
 };
 
 template <typename T>
@@ -249,7 +209,7 @@ Registry build_registry() {
           trigger_from(p, kLegacyTrigger)));
     };
     e.make_live = [](const ParamMap& p, const PolicyContext& ctx) {
-      core::LiveOrigamiBalancer::Params lp;
+      LiveOrigamiPolicy::Params lp;
       lp.min_predicted_benefit = p.get_double("min-benefit", 0.002);
       lp.max_moves_per_epoch = static_cast<int>(p.get_int("budget", 8));
       lp.min_subtree_ops =

@@ -409,22 +409,6 @@ wl::Trace live_trace(std::uint64_t ops = 20'000) {
   return wl::make_trace_rw(cfg);
 }
 
-TEST(LiveReplayFaults, DisabledPlanMatchesLegacyApiExactly) {
-  const auto trace = live_trace();
-  fs::OrigamiFs::Options fopt;
-  fopt.shards = 3;
-  fs::OrigamiFs legacy_fs(fopt);
-  fs::OrigamiFs armed_fs(fopt);
-  const auto legacy = fs::replay_on_live(trace, legacy_fs, 5'000);
-  const auto via_options =
-      fs::replay_on_live(trace, armed_fs, fs::LiveReplayOptions{});
-  EXPECT_EQ(via_options.executed, legacy.executed);
-  EXPECT_EQ(via_options.failed, legacy.failed);
-  EXPECT_EQ(via_options.faults.crashes, 0u);
-  EXPECT_EQ(via_options.faults.retries, 0u);
-  EXPECT_EQ(via_options.faults.journal_records, 0u);
-}
-
 TEST(LiveReplayFaults, CrashMidEpochFailsOverThenRecoveryRestores) {
   const auto trace = live_trace();
   fs::OrigamiFs::Options fopt;

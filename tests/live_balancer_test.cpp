@@ -1,10 +1,17 @@
 // Tests for the live OrigamiFS rebalancing loop (Data Collector → feature
-// extraction → model → Migrator, all against the real service).
+// extraction → model → Migrator, all against the real service), driven
+// through the registry's live `origami` policy.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "origami/common/rng.hpp"
 #include "origami/core/features.hpp"
-#include "origami/core/live_balancer.hpp"
+#include "origami/fs/live_replay.hpp"
+#include "origami/policy/registry.hpp"
+#include "origami/wl/generators.hpp"
 
 namespace origami::core {
 namespace {
@@ -80,19 +87,56 @@ TEST(PathOf, ReconstructsPaths) {
   EXPECT_FALSE(fsys.path_of(999999).is_ok());
 }
 
+/// A healthy-cluster fault context that records every narrated phase.
+class RecordingContext final : public fs::LiveFaultContext {
+ public:
+  struct Phase {
+    char kind;  ///< 'P'repare, 'C'ommit or 'A'bort
+    fs::Ino subtree;
+    std::uint32_t from;
+    std::uint32_t to;
+  };
+
+  [[nodiscard]] bool shard_down(std::uint32_t) const override {
+    return false;
+  }
+  void record_prepare(fs::Ino s, std::uint32_t f, std::uint32_t t) override {
+    phases.push_back({'P', s, f, t});
+  }
+  void record_commit(fs::Ino s, std::uint32_t f, std::uint32_t t) override {
+    phases.push_back({'C', s, f, t});
+  }
+  void record_abort(fs::Ino s, std::uint32_t f, std::uint32_t t) override {
+    phases.push_back({'A', s, f, t});
+  }
+
+  std::vector<Phase> phases;
+};
+
+std::unique_ptr<policy::LivePolicy> live_origami(
+    const std::string& spec,
+    std::shared_ptr<const ml::GbdtModel> model = read_share_model()) {
+  policy::PolicyContext ctx;
+  ctx.benefit_model = std::move(model);
+  auto made = policy::Registry::builtin().make_live(spec, ctx);
+  EXPECT_TRUE(made.is_ok()) << spec;
+  return std::move(made).value();
+}
+
 TEST(LiveBalancer, MovesHotSubtreeOffShardZero) {
   fs::OrigamiFs fsys = make_fs_with_hotspot();
-  LiveOrigamiBalancer::Params params;
-  params.min_subtree_ops = 8;
-  params.min_predicted_benefit = 0.0;
-  LiveOrigamiBalancer balancer(read_share_model(), params);
+  const auto policy = live_origami("origami:min-ops=8,min-benefit=0");
+  RecordingContext ctx;
 
-  const auto moves = balancer.rebalance_epoch(fsys);
-  ASSERT_FALSE(moves.empty());
-  EXPECT_EQ(moves[0].from, 0u);
-  EXPECT_NE(moves[0].to, 0u);
-  EXPECT_GT(moves[0].entries_moved, 0u);
-  EXPECT_FALSE(moves[0].path.empty());
+  EXPECT_GT(policy->on_epoch(fsys, ctx), 0u);
+  ASSERT_GE(ctx.phases.size(), 2u);
+  const RecordingContext::Phase& prepare = ctx.phases[0];
+  EXPECT_EQ(prepare.kind, 'P');
+  EXPECT_EQ(prepare.from, 0u);
+  EXPECT_NE(prepare.to, 0u);
+  EXPECT_EQ(ctx.phases[1].kind, 'C');
+  EXPECT_EQ(fsys.dir_shard(prepare.subtree), prepare.to);
+  EXPECT_TRUE(fsys.path_of(prepare.subtree).is_ok());
   // The namespace survives the migration intact.
   for (int i = 0; i < 40; ++i) {
     EXPECT_TRUE(fsys.stat("/hot/sub/f" + std::to_string(i)).is_ok());
@@ -107,11 +151,8 @@ TEST(LiveBalancer, MovesHotSubtreeOffShardZero) {
 
 TEST(LiveBalancer, TriggerHoldsWhenBalanced) {
   fs::OrigamiFs fsys = make_fs_with_hotspot();
-  LiveOrigamiBalancer::Params params;
-  params.min_subtree_ops = 8;
-  params.min_predicted_benefit = 0.0;
-  LiveOrigamiBalancer balancer(read_share_model(), params);
-  (void)balancer.rebalance_epoch(fsys);
+  RecordingContext ctx;
+  (void)live_origami("origami:min-ops=8,min-benefit=0")->on_epoch(fsys, ctx);
 
   // Next epoch: generate *balanced* traffic and expect no decisions.
   const auto hot_owner = fsys.owner_of("/hot/sub").value();
@@ -125,27 +166,20 @@ TEST(LiveBalancer, TriggerHoldsWhenBalanced) {
     }
     // Two shards evenly loaded out of three: IF = 0.25 > trigger 0.05, so
     // set a trigger that tolerates it.
-    LiveOrigamiBalancer::Params lenient = params;
-    lenient.trigger_threshold = 0.6;
-    LiveOrigamiBalancer second(read_share_model(), lenient);
-    EXPECT_TRUE(second.rebalance_epoch(fsys).empty());
+    RecordingContext second;
+    EXPECT_EQ(live_origami("origami:min-ops=8,min-benefit=0,trigger=0.6")
+                  ->on_epoch(fsys, second),
+              0u);
+    EXPECT_TRUE(second.phases.empty());
   }
 }
 
 TEST(LiveBalancer, NullModelIsNoop) {
   fs::OrigamiFs fsys = make_fs_with_hotspot();
-  LiveOrigamiBalancer balancer(nullptr);
-  EXPECT_TRUE(balancer.rebalance_epoch(fsys).empty());
+  RecordingContext ctx;
+  EXPECT_EQ(live_origami("origami", nullptr)->on_epoch(fsys, ctx), 0u);
+  EXPECT_TRUE(ctx.phases.empty());
 }
-
-}  // namespace
-}  // namespace origami::core
-
-#include "origami/fs/live_replay.hpp"
-#include "origami/wl/generators.hpp"
-
-namespace origami::core {
-namespace {
 
 TEST(LiveReplay, ExecutesTraceWithoutFailures) {
   wl::TraceRwConfig cfg;
@@ -159,7 +193,9 @@ TEST(LiveReplay, ExecutesTraceWithoutFailures) {
   fs::OrigamiFs::Options fopt;
   fopt.shards = 3;
   fs::OrigamiFs fsys(fopt);
-  const auto stats = fs::replay_on_live(trace, fsys, 5'000);
+  fs::LiveReplayOptions opt;
+  opt.epoch_ops = 5'000;
+  const auto stats = fs::replay_on_live(trace, fsys, opt);
   EXPECT_EQ(stats.executed, trace.ops.size());
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.migrations, 0u);  // no balancer wired in
@@ -179,15 +215,13 @@ TEST(LiveReplay, BalancerHookReducesImbalance) {
   fopt.shards = 3;
   fs::OrigamiFs fsys(fopt);
 
-  LiveOrigamiBalancer::Params p;
-  p.min_subtree_ops = 16;
-  p.min_predicted_benefit = 0.0;
-  LiveOrigamiBalancer balancer(read_share_model(), p);
-  const auto stats = fs::replay_on_live(
-      trace, fsys, 10'000,
-      [&balancer](fs::OrigamiFs& f) -> std::uint64_t {
-        return balancer.rebalance_epoch(f).size();
-      });
+  const auto policy = live_origami("origami:min-benefit=0");
+  fs::LiveReplayOptions opt;
+  opt.epoch_ops = 10'000;
+  opt.on_epoch = [&policy](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
+    return policy->on_epoch(f, c);
+  };
+  const auto stats = fs::replay_on_live(trace, fsys, opt);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(stats.epochs, 2u);
   EXPECT_GT(stats.migrations, 0u);

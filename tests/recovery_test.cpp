@@ -12,9 +12,9 @@
 #include "origami/common/rng.hpp"
 #include "origami/core/balancers.hpp"
 #include "origami/core/features.hpp"
-#include "origami/core/live_balancer.hpp"
 #include "origami/fs/live_replay.hpp"
 #include "origami/fsns/dir_tree.hpp"
+#include "origami/policy/registry.hpp"
 #include "origami/recovery/invariants.hpp"
 #include "origami/recovery/journal.hpp"
 #include "origami/wl/generators.hpp"
@@ -726,6 +726,44 @@ std::shared_ptr<ml::GbdtModel> live_benefit_model() {
   return std::make_shared<ml::GbdtModel>(ml::GbdtModel::train(data, params));
 }
 
+/// Forwards to the engine's fault context, except that the destination of
+/// the epoch's first PREPARE reads as down from then on; counts the
+/// resolved phases and checks that every abort left the subtree home.
+class SabotagingContext final : public fs::LiveFaultContext {
+ public:
+  SabotagingContext(fs::LiveFaultContext& inner, const fs::OrigamiFs& fsys,
+                    std::uint64_t& aborts, std::uint64_t& commits)
+      : inner_(inner), fsys_(fsys), aborts_(aborts), commits_(commits) {}
+
+  [[nodiscard]] bool shard_down(std::uint32_t s) const override {
+    return s == doomed_ || inner_.shard_down(s);
+  }
+  void record_prepare(fs::Ino subtree, std::uint32_t from,
+                      std::uint32_t to) override {
+    inner_.record_prepare(subtree, from, to);
+    if (doomed_ == UINT32_MAX) doomed_ = to;
+  }
+  void record_commit(fs::Ino subtree, std::uint32_t from,
+                     std::uint32_t to) override {
+    ++commits_;
+    inner_.record_commit(subtree, from, to);
+  }
+  void record_abort(fs::Ino subtree, std::uint32_t from,
+                    std::uint32_t to) override {
+    ++aborts_;
+    inner_.record_abort(subtree, from, to);
+    // The rollback already ran: the subtree is home again.
+    EXPECT_EQ(fsys_.dir_shard(subtree), from);
+  }
+
+ private:
+  fs::LiveFaultContext& inner_;
+  const fs::OrigamiFs& fsys_;
+  std::uint64_t& aborts_;
+  std::uint64_t& commits_;
+  std::uint32_t doomed_ = UINT32_MAX;
+};
+
 TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   wl::TraceRwConfig cfg;
   cfg.ops = 40'000;
@@ -740,7 +778,6 @@ TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   fopt.shards = 3;
   fs::OrigamiFs fsys(fopt);
 
-  const auto model = live_benefit_model();
   std::uint64_t aborts_seen = 0;
   std::uint64_t commits_seen = 0;
 
@@ -752,34 +789,18 @@ TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   opt.faults.scheduled.push_back(
       {0, sim::seconds(10'000), sim::seconds(10'001), fault::FaultKind::kCrash,
        1.0});
+  policy::PolicyContext pctx;
+  pctx.benefit_model = live_benefit_model();
+  auto made =
+      policy::Registry::builtin().make_live("origami:min-benefit=0", pctx);
+  ASSERT_TRUE(made.is_ok());
+  const auto live = std::move(made).value();
   opt.on_epoch = [&](fs::OrigamiFs& f,
                      fs::LiveFaultContext& ctx) -> std::uint64_t {
-    core::LiveOrigamiBalancer::Params p;
-    p.min_subtree_ops = 16;
-    p.min_predicted_benefit = 0.0;
     // Sabotage: the first move's destination "dies" right after PREPARE,
     // forcing the commit check to roll the subtree back to its source.
-    auto doomed = std::make_shared<std::uint32_t>(UINT32_MAX);
-    p.shard_down = [doomed, &ctx](std::uint32_t s) {
-      return s == *doomed || ctx.shard_down(s);
-    };
-    p.on_phase = [&, doomed](core::MigrationPhase ph,
-                             const core::LiveOrigamiBalancer::Move& m) {
-      if (ph == core::MigrationPhase::kPrepare) {
-        ctx.record_prepare(m.subtree, m.from, m.to);
-        if (*doomed == UINT32_MAX) *doomed = m.to;
-      } else if (ph == core::MigrationPhase::kCommit) {
-        ++commits_seen;
-        ctx.record_commit(m.subtree, m.from, m.to);
-      } else {
-        ++aborts_seen;
-        ctx.record_abort(m.subtree, m.from, m.to);
-        // The rollback already ran: the subtree is home again.
-        EXPECT_EQ(f.dir_shard(m.subtree), m.from);
-      }
-    };
-    core::LiveOrigamiBalancer balancer(model, p);
-    return balancer.rebalance_epoch(f).size();
+    SabotagingContext sabotage(ctx, f, aborts_seen, commits_seen);
+    return live->on_epoch(f, sabotage);
   };
 
   const auto stats = fs::replay_on_live(trace, fsys, opt);
