@@ -182,7 +182,8 @@ class LiveHashRepartitionPolicy final : public LivePolicy {
 
 /// Live load fractions: every shard above the mean exports uniform
 /// subtrees worth its excess load, proportional shedding as in the
-/// simulator form.
+/// simulator form. A moved subtree is frozen for the rest of the epoch, so
+/// nothing nested in it is exported twice.
 class LiveLoadFractionPolicy final : public LivePolicy {
  public:
   explicit LiveLoadFractionPolicy(LiveBaselineParams params)

@@ -520,7 +520,7 @@ std::uint64_t LiveLoadFractionPolicy::on_epoch(fs::OrigamiFs& fsys,
       }
       if (shed >= excess) break;
       const LiveNode& n = v.nodes[i];
-      if (n.shard != exporter) continue;
+      if (n.frozen || n.shard != exporter) continue;
       const auto load = static_cast<double>(n.ops());
       if (load > (excess - shed) * 1.5) continue;
       const std::uint32_t to = live_argmin(v.shard_load, exporter, ctx);
@@ -534,6 +534,7 @@ std::uint64_t LiveLoadFractionPolicy::on_epoch(fs::OrigamiFs& fsys,
       shed += load;
       v.shard_load[exporter] -= load;
       v.shard_load[to] += load;
+      v.freeze(i);
     }
   }
   return moves;

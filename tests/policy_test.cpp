@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "origami/cluster/replay.hpp"
+#include "origami/common/rng.hpp"
 #include "origami/common/thread_pool.hpp"
 #include "origami/core/balancers.hpp"
+#include "origami/core/features.hpp"
 #include "origami/core/meta_opt.hpp"
 #include "origami/core/pipeline.hpp"
 #include "origami/engine/observer.hpp"
@@ -272,6 +274,90 @@ TEST(PolicyRegistry, LivePoliciesRunDeterministically) {
     EXPECT_EQ(runs[0].failed, runs[1].failed) << e.name;
     EXPECT_EQ(runs[0].migrations, runs[1].migrations) << e.name;
     EXPECT_EQ(runs[0].shard_ops, runs[1].shard_ops) << e.name;
+  }
+}
+
+/// Forwards to the engine's fault context and counts PREPAREs whose
+/// narrated source is not the subtree's actual shard at that moment (a
+/// policy acting on a stale view of what it already moved this epoch).
+class SourceCheckingContext final : public fs::LiveFaultContext {
+ public:
+  SourceCheckingContext(fs::LiveFaultContext& inner,
+                        const fs::OrigamiFs& fsys)
+      : inner_(inner), fsys_(fsys) {}
+
+  [[nodiscard]] bool shard_down(std::uint32_t shard) const override {
+    return inner_.shard_down(shard);
+  }
+  void record_prepare(fs::Ino subtree, std::uint32_t from,
+                      std::uint32_t to) override {
+    ++prepares;
+    if (from != fsys_.dir_shard(subtree)) ++stale_sources;
+    inner_.record_prepare(subtree, from, to);
+  }
+  void record_commit(fs::Ino subtree, std::uint32_t from,
+                     std::uint32_t to) override {
+    inner_.record_commit(subtree, from, to);
+  }
+  void record_abort(fs::Ino subtree, std::uint32_t from,
+                    std::uint32_t to) override {
+    inner_.record_abort(subtree, from, to);
+  }
+
+  std::uint64_t prepares = 0;
+  std::uint64_t stale_sources = 0;
+
+ private:
+  fs::LiveFaultContext& inner_;
+  const fs::OrigamiFs& fsys_;
+};
+
+/// Benefit == subtree read share (feature 3): a stand-in for the trained
+/// regressor that makes live origami move hot subtrees.
+std::shared_ptr<ml::GbdtModel> read_share_model() {
+  ml::Dataset data(core::feature_name_vector());
+  common::Xoshiro256 rng(5);
+  std::vector<float> row(core::kFeatureCount);
+  for (int i = 0; i < 2'000; ++i) {
+    for (auto& x : row) x = static_cast<float>(rng.uniform_double());
+    data.add_row(row, row[3]);
+  }
+  ml::GbdtParams params;
+  params.rounds = 40;
+  return std::make_shared<ml::GbdtModel>(ml::GbdtModel::train(data, params));
+}
+
+TEST(PolicyRegistry, LivePoliciesPrepareFromTheSubtreesActualShard) {
+  policy::PolicyContext ctx;
+  ctx.benefit_model = read_share_model();
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const wl::Trace trace = small_rw(seed, /*ops=*/60'000);
+    for (const policy::Entry& e : Registry::builtin().entries()) {
+      if (!e.make_live) continue;
+      SCOPED_TRACE(e.name + " seed " + std::to_string(seed));
+      auto made = Registry::builtin().make_live(e.name, ctx);
+      ASSERT_TRUE(made.is_ok());
+      auto live = std::move(made).value();
+      fs::OrigamiFs::Options fopt;
+      fopt.shards = 5;
+      fs::OrigamiFs fsys(fopt);
+      std::uint64_t prepares = 0;
+      std::uint64_t stale = 0;
+      fs::LiveReplayOptions lro;
+      lro.epoch_ops = 4'000;
+      lro.on_epoch = [&](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
+        SourceCheckingContext checking(c, f);
+        const std::uint64_t moved = live->on_epoch(f, checking);
+        prepares += checking.prepares;
+        stale += checking.stale_sources;
+        return moved;
+      };
+      (void)fs::replay_on_live(trace, fsys, lro);
+      if (e.name != "single") {
+        EXPECT_GT(prepares, 0u);
+      }
+      EXPECT_EQ(stale, 0u) << "of " << prepares << " prepares";
+    }
   }
 }
 
