@@ -32,8 +32,10 @@ int main() {
 
   std::printf("%-10s %14s %9s %9s\n", "strategy", "ops/s", "RPC/req",
               "IF:busy");
-  for (bench::Strategy strat : bench::kPaperStrategies) {
-    const auto r = bench::run_strategy(strat, trace, opt, &models);
+  for (const std::string_view spec : bench::kPaperPolicies) {
+    cluster::ReplayOptions spec_opt = opt;
+    if (spec == "single") spec_opt.mds_count = 1;
+    const auto r = bench::run_policy(spec, trace, spec_opt, &models);
     std::printf("%-10s %14.0f %9.3f %9.2f\n", r.balancer_name.c_str(),
                 r.steady_throughput_ops, r.rpc_per_request, r.imf_busy);
     csv.field(r.balancer_name)

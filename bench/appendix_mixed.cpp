@@ -39,8 +39,10 @@ int main() {
               "IF:busy");
   double best_baseline = 0;
   double origami_tput = 0;
-  for (bench::Strategy strat : bench::kPaperStrategies) {
-    const auto r = bench::run_strategy(strat, mixed, opt, &models);
+  for (const std::string_view spec : bench::kPaperPolicies) {
+    cluster::ReplayOptions spec_opt = opt;
+    if (spec == "single") spec_opt.mds_count = 1;
+    const auto r = bench::run_policy(spec, mixed, spec_opt, &models);
     std::printf("%-10s %14.0f %9.3f %9.2f\n", r.balancer_name.c_str(),
                 r.steady_throughput_ops, r.rpc_per_request, r.imf_busy);
     csv.field(r.balancer_name)
@@ -48,9 +50,9 @@ int main() {
         .field(r.rpc_per_request)
         .field(r.imf_busy);
     csv.endrow();
-    if (strat == bench::Strategy::kOrigami) {
+    if (spec == "origami") {
       origami_tput = r.steady_throughput_ops;
-    } else if (strat != bench::Strategy::kSingle) {
+    } else if (spec != "single") {
       best_baseline = std::max(best_baseline, r.steady_throughput_ops);
     }
   }

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
               "failover_dirs", "aborted_migrations", "time_down_s",
               "time_degraded_s"});
 
-  for (const std::string& spec : bench::kPaperPolicies) {
+  for (const std::string_view spec : bench::kPaperPolicies) {
     cluster::ReplayOptions clean_opt = clean;
     cluster::ReplayOptions faulty_opt = faulty;
     if (spec == "single") clean_opt.mds_count = faulty_opt.mds_count = 1;

@@ -43,7 +43,7 @@ int main() {
                 "end-to-end ops/s");
     double best_meta_baseline = 0.0;
     double origami_meta = 0.0;
-    for (const std::string& spec : bench::kPaperPolicies) {
+    for (const std::string_view spec : bench::kPaperPolicies) {
       cluster::ReplayOptions meta_opt = base;
       if (spec == "single") meta_opt.mds_count = 1;
       const auto meta = bench::run_policy(spec, eval, meta_opt, &models);
