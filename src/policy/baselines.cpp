@@ -259,9 +259,15 @@ LiveView live_view(fs::OrigamiFs& fsys) {
   for (std::size_t i = 0; i < activity.size(); ++i) {
     const auto& a = activity[i];
     const std::uint64_t ops = a.reads + a.writes;
-    v.nodes[i] = {a.ino,       a.parent,   a.depth,  a.shard, true,
-                  false,       a.sub_files, a.sub_dirs, a.reads, a.writes,
-                  ops};
+    v.nodes[i] = {.ino = a.ino,
+                  .parent = a.parent,
+                  .depth = a.depth,
+                  .shard = a.shard,
+                  .sub_files = a.sub_files,
+                  .sub_dirs = a.sub_dirs,
+                  .reads = a.reads,
+                  .writes = a.writes,
+                  .self_ops = ops};
     v.shard_load[a.shard] += static_cast<double>(ops);
     v.total_ops += ops;
     v.index.emplace(a.ino, i);

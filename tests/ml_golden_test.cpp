@@ -34,25 +34,25 @@ TEST(MlGolden, ModelsAndReplaysMatchGoldens) {
 
 // One fingerprint per live policy, clean and with crashes armed, checked at
 // one and three shard-serving workers (the live engine's output does not
-// depend on the worker count).
-TEST(MlGolden, LivePoliciesMatchGoldens) {
-  std::uint64_t seed = 0;
-  core::TrainedModels models;
+// depend on the worker count). One test per seed keeps each well inside the
+// ThreadSanitizer stage's per-test timeout.
+void expect_live_goldens(std::uint64_t seed) {
+  const core::TrainedModels models = testing::ml_golden_models(seed);
   for (const MlLiveGolden& g : kMlLiveGoldens) {
-    if (g.seed != seed) {
-      seed = g.seed;
-      models = testing::ml_golden_models(seed);
-    }
+    if (g.seed != seed) continue;
     for (std::uint32_t threads : {1u, 3u}) {
-      SCOPED_TRACE("seed " + std::to_string(g.seed) + " " + g.spec +
-                   (g.faulted ? " faulted" : " clean") + " threads " +
-                   std::to_string(threads));
+      SCOPED_TRACE(std::string(g.spec) + (g.faulted ? " faulted" : " clean") +
+                   " threads " + std::to_string(threads));
       EXPECT_EQ(testing::ml_live_fingerprint(g.spec, g.seed, models,
                                              g.faulted, threads),
                 g.fingerprint);
     }
   }
 }
+
+TEST(MlGolden, LivePoliciesMatchGoldensSeed1) { expect_live_goldens(1); }
+TEST(MlGolden, LivePoliciesMatchGoldensSeed2) { expect_live_goldens(2); }
+TEST(MlGolden, LivePoliciesMatchGoldensSeed3) { expect_live_goldens(3); }
 
 TEST(MlGolden, ModelsAndReplaysMatchGoldensOnFourAnalysisThreads) {
   common::set_analysis_threads(4);
