@@ -3,8 +3,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "origami/common/rng.hpp"
 #include "origami/kv/db.hpp"
@@ -247,6 +252,119 @@ TEST(DbLevelInfo, TracksStructure) {
   EXPECT_GT(runs, 0u);
   EXPECT_GT(bytes, 0u);
 }
+
+// --------------------------------------------------------------- Db model --
+
+// Dirent-shaped keys: an 8-byte big-endian parent prefix plus a name, so
+// siblings share a prefix exactly as OrigamiFS and the InodeStore lay them
+// out. Parents include high bytes to exercise prefix-scan bounds.
+std::string model_key(std::uint64_t parent, std::string_view name) {
+  std::string key;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    key.push_back(static_cast<char>((parent >> shift) & 0xff));
+  }
+  key.append(name);
+  return key;
+}
+
+struct ModelConfig {
+  std::uint64_t seed;
+  std::size_t memtable_bytes;
+};
+
+class DbModel : public ::testing::TestWithParam<ModelConfig> {};
+
+// The store must agree with a std::map shadow under interleaved put / del /
+// get / scan_prefix, with explicit flushes, major compactions and
+// crash-recover cycles in between. Sync commit makes every acked write
+// durable, so a crash followed by recover() must lose nothing.
+TEST_P(DbModel, MatchesShadowAcrossFlushCompactAndCrash) {
+  const ModelConfig cfg = GetParam();
+  DbOptions opts;
+  opts.memtable_bytes = cfg.memtable_bytes;
+  opts.runs_per_guard = 2;
+  Db db(opts);
+  std::map<std::string, std::string> shadow;
+  common::Xoshiro256 rng(cfg.seed);
+  const std::uint64_t parents[] = {1, 2, 0xff, 0x1ff, 0x0100000000000000ULL,
+                                   ~0ULL};
+
+  auto random_key = [&] {
+    const std::uint64_t parent = parents[rng.uniform(std::size(parents))];
+    const std::uint64_t n = rng.uniform(150);
+    // Short names, long names (past the small-string buffer) and the empty
+    // name (the key is then the bare prefix).
+    std::string name;
+    if (n % 7 == 0) {
+      name = "";
+    } else if (n % 3 == 0) {
+      name = "a-much-longer-entry-name-" + std::to_string(n);
+    } else {
+      name = "e" + std::to_string(n);
+    }
+    return std::make_pair(parent, model_key(parent, name));
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const double roll = rng.uniform_double();
+    auto [parent, key] = random_key();
+    if (roll < 0.45) {
+      const std::string value =
+          "v" + std::to_string(step) + std::string(rng.uniform(40), 'x');
+      ASSERT_TRUE(db.put(key, value).is_ok());
+      shadow[key] = value;
+    } else if (roll < 0.65) {
+      ASSERT_TRUE(db.del(key).is_ok());
+      shadow.erase(key);
+    } else if (roll < 0.9) {
+      auto got = db.get(key);
+      const auto it = shadow.find(key);
+      if (it == shadow.end()) {
+        EXPECT_FALSE(got.is_ok()) << "step " << step;
+      } else {
+        ASSERT_TRUE(got.is_ok()) << "step " << step;
+        EXPECT_EQ(got.value(), it->second) << "step " << step;
+      }
+    } else if (roll < 0.985) {
+      const std::string prefix = model_key(parent, {});
+      std::vector<std::pair<std::string, std::string>> scanned;
+      db.scan_prefix(prefix, [&](std::string_view k, std::string_view v) {
+        scanned.emplace_back(std::string(k), std::string(v));
+        return true;
+      });
+      std::vector<std::pair<std::string, std::string>> expected;
+      for (auto it = shadow.lower_bound(prefix);
+           it != shadow.end() && it->first.compare(0, 8, prefix) == 0; ++it) {
+        expected.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(scanned, expected) << "step " << step;
+    } else if (roll < 0.99) {
+      ASSERT_TRUE(db.flush().is_ok());
+    } else if (roll < 0.995) {
+      ASSERT_TRUE(db.compact_all().is_ok());
+    } else {
+      const Db::LossReport loss = db.simulate_crash(/*tear_wal_tail=*/true);
+      EXPECT_TRUE(loss.acked_lost.empty());
+      ASSERT_TRUE(db.recover().is_ok());
+    }
+  }
+
+  std::vector<std::pair<std::string, std::string>> all;
+  db.scan({}, {}, [&](std::string_view k, std::string_view v) {
+    all.emplace_back(std::string(k), std::string(v));
+    return true;
+  });
+  const std::vector<std::pair<std::string, std::string>> expected(
+      shadow.begin(), shadow.end());
+  EXPECT_EQ(all, expected);
+  EXPECT_EQ(db.count_live(), shadow.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Memtable, DbModel,
+    ::testing::Values(ModelConfig{11, 1u << 22},  // memtable-resident
+                      ModelConfig{12, 8192},      // regular flushes
+                      ModelConfig{13, 1024}));    // flush on almost every put
 
 }  // namespace
 }  // namespace origami::kv

@@ -191,6 +191,51 @@ TEST(OrigamiFs, MigrationMovesFragmentsAndPreservesData) {
             common::StatusCode::kInvalidArgument);
 }
 
+// Pins the exact per-shard work of a fixed op sequence: every path
+// component costs one dirent lookup and one store get, so any change to
+// resolution or routing shows up here as a counter diff.
+TEST(OrigamiFs, FixedSequencePinsShardStatsAndStoreGets) {
+  OrigamiFs fsys(small_options(3));
+  ASSERT_TRUE(fsys.mkdir("/a").is_ok());
+  ASSERT_TRUE(fsys.mkdir("/a/b").is_ok());
+  ASSERT_TRUE(fsys.mkdir("/c").is_ok());
+  ASSERT_TRUE(fsys.create("/a/f1").is_ok());
+  ASSERT_TRUE(fsys.create("/a/b/f2").is_ok());
+  ASSERT_TRUE(fsys.create("/a/b/a-file-name-longer-than-sso").is_ok());
+  ASSERT_TRUE(fsys.create("/c/f3").is_ok());
+  ASSERT_TRUE(fsys.stat("/a/f1").is_ok());
+  ASSERT_TRUE(fsys.stat("//a/./b/f2").is_ok());
+  ASSERT_TRUE(fsys.stat("/").is_ok());
+  ASSERT_FALSE(fsys.stat("/missing").is_ok());
+  ASSERT_FALSE(fsys.stat("/a/missing/x").is_ok());
+  ASSERT_FALSE(fsys.stat("/a/f1/x").is_ok());
+  ASSERT_EQ(fsys.readdir("/a").value().size(), 2u);
+  ASSERT_EQ(fsys.readdir("/a/b").value().size(), 2u);
+  ASSERT_TRUE(fsys.unlink("/a/f1").is_ok());
+  ASSERT_TRUE(fsys.setattr("/a/b/f2", fsns::InodeAttr{}).is_ok());
+  ASSERT_EQ(fsys.migrate_subtree("/a", 2).value(), 3u);
+  ASSERT_TRUE(fsys.stat("/a/b/f2").is_ok());
+  ASSERT_EQ(fsys.migrate_subtree("/a/b", 1).value(), 2u);
+  ASSERT_TRUE(fsys.create("/a/b/f4").is_ok());
+  ASSERT_EQ(fsys.readdir("/a/b").value().size(), 3u);
+  ASSERT_TRUE(fsys.rename("/c/f3", "/a/b/f3").is_ok());
+  ASSERT_TRUE(fsys.unlink("/a/b/f3").is_ok());
+  ASSERT_TRUE(fsys.rmdir("/c").is_ok());
+  ASSERT_FALSE(fsys.stat("/c/f3").is_ok());
+
+  const std::vector<ShardStats> stats = fsys.shard_stats();
+  ASSERT_EQ(stats.size(), 3u);
+  const std::uint64_t want[3][3] = {{45, 11, 1}, {4, 3, 3}, {7, 0, 1}};
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(stats[s].lookups, want[s][0]) << "shard " << s;
+    EXPECT_EQ(stats[s].mutations, want[s][1]) << "shard " << s;
+    EXPECT_EQ(stats[s].entries, want[s][2]) << "shard " << s;
+  }
+  std::uint64_t gets = 0;
+  for (std::uint32_t s = 0; s < 3; ++s) gets += fsys.shard_db(s).stats().gets;
+  EXPECT_EQ(gets, 53u);
+}
+
 TEST(OrigamiFs, RandomOpsWithMigrationsMatchReferenceModel) {
   // Property test: a shadow model of (path -> is_dir) must agree with the
   // service under random ops interleaved with random subtree migrations.
