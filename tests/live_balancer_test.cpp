@@ -228,5 +228,34 @@ TEST(LiveReplay, BalancerHookReducesImbalance) {
   EXPECT_LT(stats.shard_imbalance, 0.9);
 }
 
+// The replay materialises a trace node's ancestors before its op. An unlink
+// aimed at a directory node is refused by the service, but the node is
+// still marked absent, so the next op below it re-issues that directory's
+// mkdir (which then fails as existing). Pins the exact resolve work.
+TEST(LiveReplay, UnlinkedDirectoryNodeIsReissuedOnNextUse) {
+  wl::Trace trace;
+  trace.name = "unlink-dir";
+  const fsns::NodeId a = trace.tree.add_dir(fsns::kRootNode, "a");
+  const fsns::NodeId b = trace.tree.add_dir(a, "b");
+  const fsns::NodeId c = trace.tree.add_dir(b, "c");
+  const fsns::NodeId f = trace.tree.add_file(c, "f");
+  trace.tree.finalize();
+  trace.ops = {{fsns::OpType::kStat, f},   {fsns::OpType::kUnlink, b},
+               {fsns::OpType::kStat, f},   {fsns::OpType::kUnlink, a},
+               {fsns::OpType::kReaddir, c}, {fsns::OpType::kStat, f}};
+
+  fs::OrigamiFs::Options fopt;
+  fopt.shards = 2;
+  fs::OrigamiFs fsys(fopt);
+  const auto stats = fs::replay_on_live(trace, fsys, fs::LiveReplayOptions{});
+  EXPECT_EQ(stats.executed, trace.ops.size());
+  EXPECT_EQ(stats.failed, 2u);  // both directory unlinks
+  const std::vector<fs::ShardStats> shard = fsys.shard_stats();
+  EXPECT_EQ(shard[0].lookups, 32u);
+  EXPECT_EQ(shard[0].mutations, 4u);
+  EXPECT_EQ(shard[0].entries, 4u);
+  EXPECT_EQ(fsys.shard_db(0).stats().gets + fsys.shard_db(1).stats().gets, 31u);
+}
+
 }  // namespace
 }  // namespace origami::core
