@@ -52,8 +52,14 @@ struct ShardStats {
 /// refuses non-empty directories and files, rename moves files or whole
 /// directories.
 ///
+/// Path resolution walks the components in place and does one store get
+/// per component, building each dirent key in a reused buffer and decoding
+/// from a reused value buffer, so a resolved op allocates nothing.
+///
 /// Thread safety: none; callers serialise (a real deployment would shard
-/// the lock with the namespace — out of scope here).
+/// the lock with the namespace — out of scope here). That includes the
+/// const methods: stat, readdir and owner_of write the reused key/value
+/// buffers and the activity counters, so even two concurrent reads race.
 class OrigamiFs {
  public:
   struct Options {
@@ -162,7 +168,8 @@ class OrigamiFs {
  private:
   struct Resolved {
     Ino parent = kInvalidIno;   ///< inode of the parent directory
-    std::string leaf;           ///< final component name ("" for root)
+    std::string_view leaf;      ///< final component name ("" for root),
+                                ///< a view into the resolved path
     Ino ino = kInvalidIno;      ///< inode of the entry (0 if absent)
     bool is_dir = false;
     fsns::InodeAttr attr;
@@ -202,6 +209,10 @@ class OrigamiFs {
   /// Ownership-change counters per directory (absent = epoch 0).
   std::unordered_map<Ino, std::uint32_t> dir_epoch_;
   mutable std::unordered_map<Ino, DirMeta> dirs_;  // directories only
+  /// Reused dirent key and value buffers: every store read and write of a
+  /// resolve or mutation goes through them instead of fresh strings.
+  mutable std::string key_buf_;
+  mutable std::string value_buf_;
   Ino next_ino_ = kRootIno + 1;
   std::uint64_t entries_ = 0;
 };

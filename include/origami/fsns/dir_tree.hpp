@@ -44,6 +44,8 @@ class DirTree {
 
   /// "/a/b/c" for display and hashing; root is "/".
   [[nodiscard]] std::string full_path(NodeId id) const;
+  /// Writes full_path(id) into `out`, reusing its capacity.
+  void full_path(NodeId id, std::string& out) const;
 
   /// Ancestor chain root..id inclusive (root first).
   [[nodiscard]] std::vector<NodeId> ancestors(NodeId id) const;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,9 +105,12 @@ struct DbStats {
 /// this is the fragmented-LSM write-amplification trade described in the
 /// PebblesDB paper (SOSP'17), which OrigamiFS uses as its inode store.
 ///
-/// Thread safety: all public methods are safe to call concurrently; a
-/// single mutex guards mutations (reads copy shared_ptr run handles and
-/// search without the lock held).
+/// Point reads probe the memtable's hash index first (one probe, see
+/// SkipList), then the runs newest-first per level, behind Bloom filters.
+///
+/// Thread safety: all public methods are safe to call concurrently. One
+/// mutex serialises them all: writes, and reads too, which hold it for the
+/// whole lookup or scan (a get copies the value out before releasing it).
 class Db {
  public:
   explicit Db(DbOptions options = {});
@@ -120,6 +122,10 @@ class Db {
   common::Status del(std::string_view key);
   /// Returns the value, or kNotFound.
   common::Result<std::string> get(std::string_view key) const;
+  /// Buffer-filling point read: on a hit, copies the value into `*value`
+  /// (reusing its capacity) and returns true; on a miss returns false and
+  /// leaves `*value` untouched. Counts as one get, like the overload above.
+  bool get(std::string_view key, std::string* value) const;
 
   /// Visits live entries with key in [begin, end) in key order; return
   /// false from the callback to stop early.
@@ -247,7 +253,9 @@ class Db {
   void maybe_compact_guard_locked(int level_index, std::size_t guard_index);
   [[nodiscard]] std::size_t guard_for_locked(const Level& level,
                                              std::string_view key) const;
-  [[nodiscard]] std::optional<Entry> lookup(std::string_view key) const;
+  /// Newest entry for `key` (possibly a tombstone) or nullptr; caller
+  /// holds mutex_.
+  [[nodiscard]] const Entry* lookup(std::string_view key) const;
 
   DbOptions options_;
   mutable std::mutex mutex_;

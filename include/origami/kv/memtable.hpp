@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -20,8 +19,9 @@ struct Entry {
   bool tombstone = false;
 };
 
-/// In-memory sorted write buffer backed by an arena skip list (the
-/// LevelDB/PebblesDB memtable structure). Single-writer / multi-reader
+/// In-memory sorted write buffer backed by a skip list (the LevelDB/
+/// PebblesDB memtable structure) whose hash index makes point reads and the
+/// existence probe of put/del one probe each. Single-writer / multi-reader
 /// callers must synchronise externally (the DB object holds the lock).
 class MemTable {
  public:
@@ -31,8 +31,10 @@ class MemTable {
   /// Records a tombstone; returns the net byte delta.
   std::int64_t del(std::string_view key, std::uint64_t seqno);
 
-  /// Returns the entry (possibly a tombstone) if the key is present.
-  [[nodiscard]] std::optional<Entry> get(std::string_view key) const;
+  /// The entry (possibly a tombstone) stored for `key`, or nullptr. The
+  /// pointer stays valid, and sees later overwrites, until the memtable is
+  /// dropped.
+  [[nodiscard]] const Entry* get(std::string_view key) const;
 
   /// Visits entries with keys in [begin, end) in key order; return false
   /// from the callback to stop early.

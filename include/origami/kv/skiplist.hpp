@@ -7,16 +7,27 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "origami/common/hash.hpp"
 #include "origami/common/rng.hpp"
 
 namespace origami::kv {
 
 /// A string-keyed skip list — the memtable structure of LevelDB-lineage
-/// stores (PebblesDB included). Nodes are allocated from an arena and never
-/// freed individually; the whole structure is dropped at once when the
-/// memtable is flushed, which is exactly the memtable lifecycle.
+/// stores (PebblesDB included) — with a hash index beside it for point
+/// reads. Each node is its own heap allocation owned by the list; none is
+/// freed before the whole list is dropped at once when the memtable is
+/// flushed, which is exactly the memtable lifecycle.
+///
+/// The skip list is the ordered structure: `scan` (and through it memtable
+/// snapshots, flushes and compaction input) walks it in key order. The
+/// index is a flat open-addressing table of node pointers hashed by key,
+/// with linear probing, grown by doubling so that it stays at most half
+/// full. Nodes are never removed, so the index needs no deletion markers.
+/// `find` is one index probe; `try_emplace` is one probe, plus one list
+/// walk only when the key is new.
 ///
 /// Single-writer / multi-reader like the surrounding MemTable; external
 /// synchronisation required for concurrent writes.
@@ -25,14 +36,19 @@ class SkipList {
  public:
   static constexpr int kMaxHeight = 12;
 
-  SkipList() : rng_(0xdecafbadULL), head_(allocate_node({}, kMaxHeight)) {}
+  SkipList()
+      : rng_(0xdecafbadULL),
+        head_(allocate_node({}, kMaxHeight)),
+        index_(kMinIndexSlots, nullptr) {}
 
-  /// Inserts or overwrites. Returns a reference to the stored value.
-  Value& upsert(std::string_view key) {
+  /// Inserts `key` with a value-initialised value unless present. Returns
+  /// the stored value and whether this call inserted it.
+  std::pair<Value*, bool> try_emplace(std::string_view key) {
+    std::size_t slot = probe(key);
+    if (Node* hit = index_[slot]) return {&hit->value, false};
+
     Node* prev[kMaxHeight];
-    Node* node = find_greater_or_equal(key, prev);
-    if (node != nullptr && node->key == key) return node->value;
-
+    find_greater_or_equal(key, prev);
     const int height = random_height();
     if (height > height_) {
       for (int level = height_; level < height; ++level) prev[level] = head_;
@@ -44,19 +60,25 @@ class SkipList {
       prev[level]->next[level] = fresh;
     }
     ++size_;
-    return fresh->value;
+    if (2 * size_ > index_.size()) {
+      grow_index();
+      slot = probe(key);
+    }
+    index_[slot] = fresh;
+    return {&fresh->value, true};
   }
+
+  /// Inserts or overwrites. Returns a reference to the stored value.
+  Value& upsert(std::string_view key) { return *try_emplace(key).first; }
 
   /// Returns the value for `key`, or nullptr.
   [[nodiscard]] const Value* find(std::string_view key) const {
-    Node* node = find_greater_or_equal(key, nullptr);
-    if (node != nullptr && node->key == key) return &node->value;
-    return nullptr;
+    Node* node = index_[probe(key)];
+    return node != nullptr ? &node->value : nullptr;
   }
   [[nodiscard]] Value* find(std::string_view key) {
-    Node* node = find_greater_or_equal(key, nullptr);
-    if (node != nullptr && node->key == key) return &node->value;
-    return nullptr;
+    Node* node = index_[probe(key)];
+    return node != nullptr ? &node->value : nullptr;
   }
 
   /// Visits entries with key in [begin, end) in key order (empty `end`
@@ -72,16 +94,19 @@ class SkipList {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// Arena footprint (node storage), for memtable size accounting.
+  /// Node storage footprint (keys included), for memtable size accounting.
+  /// The index's slot array is not counted.
   [[nodiscard]] std::size_t arena_bytes() const noexcept { return arena_bytes_; }
 
  private:
+  static constexpr std::size_t kMinIndexSlots = 16;  // a power of two
+
   struct Node {
     std::string key;
     Value value{};
     int height = 0;
-    // Over-allocated flexible tail emulated with a fixed array: heights are
-    // bounded by kMaxHeight, and nodes live in unique_ptrs in the arena.
+    // Fixed-size successor array: heights are bounded by kMaxHeight, so
+    // every node carries the full array and uses its first `height` slots.
     std::array<Node*, kMaxHeight> next{};
   };
 
@@ -99,6 +124,24 @@ class SkipList {
     // P(bump) = 1/4 per level, LevelDB's branching factor.
     while (height < kMaxHeight && (rng_() & 3) == 0) ++height;
     return height;
+  }
+
+  /// Index slot holding `key`'s node, or the empty slot where it belongs.
+  [[nodiscard]] std::size_t probe(std::string_view key) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(common::hash_bytes(key)) & mask;
+    while (index_[slot] != nullptr && index_[slot]->key != key) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  void grow_index() {
+    std::vector<Node*> old(2 * index_.size(), nullptr);
+    old.swap(index_);
+    for (Node* node : old) {
+      if (node != nullptr) index_[probe(node->key)] = node;
+    }
   }
 
   /// First node with key >= `key`; fills `prev` (length kMaxHeight) with
@@ -124,6 +167,9 @@ class SkipList {
   std::size_t size_ = 0;
   int height_ = 1;
   Node* head_;
+  /// Open-addressing hash index over every node but the head; its size is
+  /// a power of two and at least twice `size_`.
+  std::vector<Node*> index_;
 };
 
 }  // namespace origami::kv

@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +20,9 @@ class SortedRun {
   explicit SortedRun(std::vector<std::pair<std::string, Entry>> entries,
                      int bloom_bits_per_key = 10);
 
-  [[nodiscard]] std::optional<Entry> get(std::string_view key) const;
+  /// The entry (possibly a tombstone) stored for `key`, or nullptr; valid
+  /// while the run is alive.
+  [[nodiscard]] const Entry* get(std::string_view key) const;
 
   /// Visits entries with keys in [begin, end); return false to stop.
   void scan(std::string_view begin, std::string_view end,

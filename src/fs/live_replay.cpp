@@ -37,21 +37,33 @@ class Materialiser {
   }
 
   /// Ensures every *directory* ancestor of `id` exists (not `id` itself
-  /// unless it is a directory and `include_self`).
+  /// unless it is a directory and `include_self`), issuing the missing
+  /// mkdirs root-first. The walk up stops at the first materialised node:
+  /// nodes are only ever materialised after all their ancestors, so every
+  /// node above it exists too. An unlink that marks a directory node absent
+  /// breaks that, so from then on every walk goes up to the root.
   void ensure_dirs(fsns::NodeId id, bool include_self) {
-    const auto chain = tree_.ancestors(id);
-    const std::size_t end = include_self ? chain.size() : chain.size() - 1;
-    for (std::size_t i = 1; i < end; ++i) {
-      const fsns::NodeId node = chain[i];
-      if (created_[node] || !tree_.is_dir(node)) continue;
-      if (auto r = fsys_.mkdir(tree_.full_path(node)); r.is_ok()) {
-        ino_[node] = r.value();
+    if (id == fsns::kRootNode) return;
+    missing_.clear();
+    for (fsns::NodeId node = include_self ? id : tree_.parent(id);
+         node != fsns::kRootNode; node = tree_.parent(node)) {
+      if (!created_[node]) {
+        if (tree_.is_dir(node)) missing_.push_back(node);
+      } else if (!dir_marked_absent_) {
+        break;
       }
-      created_[node] = true;
+    }
+    for (auto it = missing_.rbegin(); it != missing_.rend(); ++it) {
+      tree_.full_path(*it, path_);
+      if (auto r = fsys_.mkdir(path_); r.is_ok()) ino_[*it] = r.value();
+      created_[*it] = true;
     }
   }
 
-  void mark(fsns::NodeId id, bool exists) { created_[id] = exists; }
+  void mark(fsns::NodeId id, bool exists) {
+    created_[id] = exists;
+    if (!exists && tree_.is_dir(id)) dir_marked_absent_ = true;
+  }
   [[nodiscard]] bool exists(fsns::NodeId id) const { return created_[id]; }
   /// Live inode of a materialised directory node (kInvalidIno if unknown).
   [[nodiscard]] Ino ino_of(fsns::NodeId id) const { return ino_[id]; }
@@ -61,6 +73,9 @@ class Materialiser {
   OrigamiFs& fsys_;
   std::vector<bool> created_;
   std::vector<Ino> ino_;
+  bool dir_marked_absent_ = false;
+  std::vector<fsns::NodeId> missing_;  ///< ensure_dirs scratch, leaf-first
+  std::string path_;                   ///< ensure_dirs scratch mkdir path
 };
 
 /// One fully-priced request as handed to a shard-serving worker. The
@@ -664,7 +679,8 @@ class LiveEngine final : public LiveFaultContext {
 
   common::Status execute(const wl::MetaOp& op) {
     const auto& tree = trace_.tree;
-    const std::string path = tree.full_path(op.target);
+    tree.full_path(op.target, path_);
+    const std::string& path = path_;
     common::Status status = common::Status::ok();
     switch (op.type) {
       case fsns::OpType::kCreate: {
@@ -818,6 +834,7 @@ class LiveEngine final : public LiveFaultContext {
   std::uint64_t sync_ops_ = 512;
   sim::SimTime fault_epoch_len_ = 1;
   std::vector<std::uint32_t> owners_buf_;  ///< scratch for distinct_owners
+  std::string path_;                       ///< scratch: the executed op's path
 
   // Fault plane (issuer-owned; journals handed to workers between syncs).
   std::uint32_t next_fault_epoch_ = 0;

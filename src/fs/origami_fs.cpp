@@ -5,21 +5,17 @@
 #include <deque>
 #include <fstream>
 
-#include "origami/fsns/path_resolver.hpp"
-#include "origami/mds/inode_store.hpp"
-
 namespace origami::fs {
 
 namespace {
 
 /// Dirent value layout: [u64 ino][u8 is_dir][InodeAttr].
-std::string encode_dirent(Ino ino, bool is_dir, const fsns::InodeAttr& attr) {
-  std::string out;
+void encode_dirent(std::string& out, Ino ino, bool is_dir,
+                   const fsns::InodeAttr& attr) {
   out.resize(9 + sizeof(fsns::InodeAttr));
   std::memcpy(out.data(), &ino, 8);
   out[8] = is_dir ? 1 : 0;
   std::memcpy(out.data() + 9, &attr, sizeof(fsns::InodeAttr));
-  return out;
 }
 
 bool decode_dirent(std::string_view data, Ino& ino, bool& is_dir,
@@ -31,18 +27,37 @@ bool decode_dirent(std::string_view data, Ino& ino, bool& is_dir,
   return true;
 }
 
-std::string dirent_key(Ino parent, std::string_view name) {
-  // Big-endian parent so siblings are contiguous (readdir = prefix scan).
-  std::string key;
-  key.reserve(8 + name.size());
+/// Writes the dirent key of (parent, name) into `key`, reusing its
+/// capacity. Big-endian parent so siblings are contiguous (readdir = prefix
+/// scan).
+void dirent_key(std::string& key, Ino parent, std::string_view name) {
+  key.clear();
   for (int shift = 56; shift >= 0; shift -= 8) {
     key.push_back(static_cast<char>((parent >> shift) & 0xff));
   }
   key.append(name);
-  return key;
 }
 
-std::string dirent_prefix(Ino parent) { return dirent_key(parent, {}); }
+/// Advances `pos` past the next path component that is neither empty nor
+/// "." and stores it in `part`; false when none is left. Walks the same
+/// components as fsns::split_path, in place.
+bool next_component(std::string_view path, std::size_t& pos,
+                    std::string_view& part) {
+  while (pos < path.size()) {
+    const std::size_t slash = path.find('/', pos);
+    const std::size_t end = slash == std::string_view::npos ? path.size() : slash;
+    part = path.substr(pos, end - pos);
+    pos = end + 1;
+    if (!part.empty() && part != ".") return true;
+  }
+  return false;
+}
+
+std::string dirent_prefix(Ino parent) {
+  std::string key;
+  dirent_key(key, parent, {});
+  return key;
+}
 
 }  // namespace
 
@@ -73,31 +88,35 @@ common::Result<OrigamiFs::Resolved> OrigamiFs::resolve(
   out.ino = kRootIno;
   out.is_dir = true;
 
-  const auto parts = fsns::split_path(path);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
+  std::size_t pos = 0;
+  std::string_view next;
+  bool more = next_component(path, pos, next);
+  while (more) {
+    const std::string_view name = next;
+    more = next_component(path, pos, next);
     if (!out.is_dir) {
       return common::Status::not_found("not a directory: " +
-                                       std::string(parts[i - 1]));
+                                       std::string(out.leaf));
     }
     const Ino parent = out.ino;
     const std::uint32_t shard = dir_owner(parent);
     ++stats_[shard].lookups;
-    auto value = shards_[shard]->get(dirent_key(parent, parts[i]));
+    dirent_key(key_buf_, parent, name);
+    const bool found = shards_[shard]->get(key_buf_, &value_buf_);
 
     out.parent = parent;
-    out.leaf.assign(parts[i]);
-    if (!value.is_ok()) {
-      if (i + 1 < parts.size()) {
+    out.leaf = name;
+    if (!found) {
+      if (more) {
         return common::Status::not_found("missing component: " +
-                                         std::string(parts[i]));
+                                         std::string(name));
       }
       out.ino = kInvalidIno;  // leaf absent — caller decides
       out.is_dir = false;
       return out;
     }
-    if (!decode_dirent(value.value(), out.ino, out.is_dir, out.attr)) {
-      return common::Status::corruption("bad dirent for " +
-                                        std::string(parts[i]));
+    if (!decode_dirent(value_buf_, out.ino, out.is_dir, out.attr)) {
+      return common::Status::corruption("bad dirent for " + std::string(name));
     }
   }
   return out;
@@ -110,8 +129,9 @@ common::Status OrigamiFs::insert_entry(Ino parent, std::string_view name,
   ++stats_[shard].mutations;
   ++stats_[shard].entries;
   ++entries_;
-  return shards_[shard]->put(dirent_key(parent, name),
-                             encode_dirent(ino, is_dir, attr));
+  dirent_key(key_buf_, parent, name);
+  encode_dirent(value_buf_, ino, is_dir, attr);
+  return shards_[shard]->put(key_buf_, value_buf_);
 }
 
 common::Status OrigamiFs::erase_entry(Ino parent, std::string_view name) {
@@ -119,7 +139,8 @@ common::Status OrigamiFs::erase_entry(Ino parent, std::string_view name) {
   ++stats_[shard].mutations;
   --stats_[shard].entries;
   --entries_;
-  return shards_[shard]->del(dirent_key(parent, name));
+  dirent_key(key_buf_, parent, name);
+  return shards_[shard]->del(key_buf_);
 }
 
 common::Result<Ino> OrigamiFs::mkdir(std::string_view path) {
@@ -144,7 +165,7 @@ common::Result<Ino> OrigamiFs::mkdir(std::string_view path) {
   owner_[ino] = dir_owner(r.parent);
   DirMeta meta;
   meta.parent = r.parent;
-  meta.name = r.leaf;
+  meta.name.assign(r.leaf);
   dirs_[ino] = std::move(meta);
   ++dirs_[r.parent].sub_dirs;
   charge_write(r.parent);
@@ -276,7 +297,7 @@ common::Status OrigamiFs::rename(std::string_view from, std::string_view to) {
     ++dirs_[d.parent].sub_dirs;
     DirMeta& meta = dirs_[s.ino];
     meta.parent = d.parent;
-    meta.name = d.leaf;
+    meta.name.assign(d.leaf);
   } else {
     --dirs_[s.parent].sub_files;
     ++dirs_[d.parent].sub_files;
@@ -297,8 +318,9 @@ common::Status OrigamiFs::setattr(std::string_view path,
   const std::uint32_t shard = dir_owner(r.parent);
   ++stats_[shard].mutations;
   charge_write(r.is_dir ? r.ino : r.parent);
-  return shards_[shard]->put(dirent_key(r.parent, r.leaf),
-                             encode_dirent(r.ino, r.is_dir, attr));
+  dirent_key(key_buf_, r.parent, r.leaf);
+  encode_dirent(value_buf_, r.ino, r.is_dir, attr);
+  return shards_[shard]->put(key_buf_, value_buf_);
 }
 
 common::Result<std::uint32_t> OrigamiFs::owner_of(std::string_view path) const {

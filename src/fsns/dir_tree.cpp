@@ -44,17 +44,28 @@ NodeId DirTree::add_file(NodeId parent, std::string name) {
 }
 
 std::string DirTree::full_path(NodeId id) const {
-  if (id == kRootNode) return "/";
-  std::vector<const std::string*> parts;
-  for (NodeId cur = id; cur != kRootNode; cur = nodes_[cur].parent) {
-    parts.push_back(&nodes_[cur].name);
-  }
   std::string out;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    out += '/';
-    out += **it;
-  }
+  full_path(id, out);
   return out;
+}
+
+void DirTree::full_path(NodeId id, std::string& out) const {
+  if (id == kRootNode) {
+    out.assign("/");
+    return;
+  }
+  // Size the path first, then fill it leaf-first from the back.
+  std::size_t pos = 0;
+  for (NodeId cur = id; cur != kRootNode; cur = nodes_[cur].parent) {
+    pos += 1 + nodes_[cur].name.size();
+  }
+  out.resize(pos);
+  for (NodeId cur = id; cur != kRootNode; cur = nodes_[cur].parent) {
+    const std::string& name = nodes_[cur].name;
+    pos -= name.size();
+    name.copy(out.data() + pos, name.size());
+    out[--pos] = '/';
+  }
 }
 
 std::vector<NodeId> DirTree::ancestors(NodeId id) const {

@@ -150,8 +150,8 @@ std::uint64_t Db::durable_seqno() const {
 
 Db::Durability Db::durability_of(std::string_view key) const {
   std::lock_guard lock(mutex_);
-  auto e = lookup(key);
-  if (!e || e->tombstone) return Durability::kNotFound;
+  const Entry* e = lookup(key);
+  if (e == nullptr || e->tombstone) return Durability::kNotFound;
   return e->seqno <= durable_seqno_ ? Durability::kDurable
                                     : Durability::kPending;
 }
@@ -179,30 +179,35 @@ Db::LossReport Db::simulate_crash(bool tear_wal_tail) {
   return report;
 }
 
-std::optional<Entry> Db::lookup(std::string_view key) const {
-  // Caller holds mutex_ (reads are short; contention is not a concern at
-  // simulation scale — the DES issues operations sequentially).
-  if (auto e = mem_.get(key)) return e;
+const Entry* Db::lookup(std::string_view key) const {
+  // Caller holds mutex_; the returned entry lives in the memtable or in a
+  // run the levels hold, so it stays valid until the lock is released.
+  if (const Entry* e = mem_.get(key)) return e;
   for (const auto& level : levels_) {
     const std::size_t gi = guard_for_locked(level, key);
     const Guard& guard = level.guards[gi];
     for (auto it = guard.runs.rbegin(); it != guard.runs.rend(); ++it) {
       ++stats_.run_probes;
-      if (auto e = (*it)->get(key)) return e;
+      if (const Entry* e = (*it)->get(key)) return e;
       ++stats_.bloom_negative;
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+bool Db::get(std::string_view key, std::string* value) const {
+  std::lock_guard lock(mutex_);
+  ++stats_.gets;
+  const Entry* e = lookup(key);
+  if (e == nullptr || e->tombstone) return false;
+  value->assign(e->value);
+  return true;
 }
 
 common::Result<std::string> Db::get(std::string_view key) const {
-  std::lock_guard lock(mutex_);
-  ++stats_.gets;
-  auto e = lookup(key);
-  if (!e || e->tombstone) {
-    return common::Status::not_found(std::string(key));
-  }
-  return std::move(e->value);
+  std::string value;
+  if (!get(key, &value)) return common::Status::not_found(std::string(key));
+  return value;
 }
 
 void Db::scan(std::string_view begin, std::string_view end,

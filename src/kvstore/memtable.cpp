@@ -8,47 +8,33 @@ constexpr std::size_t kEntryOverhead = 32;  // node + bookkeeping estimate
 
 std::int64_t MemTable::put(std::string_view key, std::string_view value,
                            std::uint64_t seqno) {
-  Entry* existing = table_.find(key);
-  std::int64_t delta;
-  if (existing == nullptr) {
-    Entry& e = table_.upsert(key);
-    e.value.assign(value);
-    e.seqno = seqno;
-    e.tombstone = false;
-    delta = static_cast<std::int64_t>(key.size() + value.size() + kEntryOverhead);
-  } else {
-    delta = static_cast<std::int64_t>(value.size()) -
-            static_cast<std::int64_t>(existing->value.size());
-    existing->value.assign(value);
-    existing->seqno = seqno;
-    existing->tombstone = false;
-  }
+  auto [e, fresh] = table_.try_emplace(key);
+  const std::int64_t delta =
+      fresh ? static_cast<std::int64_t>(key.size() + value.size() +
+                                        kEntryOverhead)
+            : static_cast<std::int64_t>(value.size()) -
+                  static_cast<std::int64_t>(e->value.size());
+  e->value.assign(value);
+  e->seqno = seqno;
+  e->tombstone = false;
   bytes_ = static_cast<std::size_t>(static_cast<std::int64_t>(bytes_) + delta);
   return delta;
 }
 
 std::int64_t MemTable::del(std::string_view key, std::uint64_t seqno) {
-  Entry* existing = table_.find(key);
-  std::int64_t delta;
-  if (existing == nullptr) {
-    Entry& e = table_.upsert(key);
-    e.seqno = seqno;
-    e.tombstone = true;
-    delta = static_cast<std::int64_t>(key.size() + kEntryOverhead);
-  } else {
-    delta = -static_cast<std::int64_t>(existing->value.size());
-    existing->value.clear();
-    existing->seqno = seqno;
-    existing->tombstone = true;
-  }
+  auto [e, fresh] = table_.try_emplace(key);
+  const std::int64_t delta =
+      fresh ? static_cast<std::int64_t>(key.size() + kEntryOverhead)
+            : -static_cast<std::int64_t>(e->value.size());
+  e->value.clear();
+  e->seqno = seqno;
+  e->tombstone = true;
   bytes_ = static_cast<std::size_t>(static_cast<std::int64_t>(bytes_) + delta);
   return delta;
 }
 
-std::optional<Entry> MemTable::get(std::string_view key) const {
-  const Entry* e = table_.find(key);
-  if (e == nullptr) return std::nullopt;
-  return *e;
+const Entry* MemTable::get(std::string_view key) const {
+  return table_.find(key);
 }
 
 void MemTable::scan(

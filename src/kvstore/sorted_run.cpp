@@ -19,13 +19,13 @@ SortedRun::SortedRun(std::vector<std::pair<std::string, Entry>> entries,
   }
 }
 
-std::optional<Entry> SortedRun::get(std::string_view key) const {
-  if (entries_.empty() || !bloom_.may_contain(key)) return std::nullopt;
+const Entry* SortedRun::get(std::string_view key) const {
+  if (entries_.empty() || !bloom_.may_contain(key)) return nullptr;
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
       [](const auto& pair, std::string_view k) { return pair.first < k; });
-  if (it == entries_.end() || it->first != key) return std::nullopt;
-  return it->second;
+  if (it == entries_.end() || it->first != key) return nullptr;
+  return &it->second;
 }
 
 void SortedRun::scan(

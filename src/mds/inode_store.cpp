@@ -4,14 +4,25 @@
 
 namespace origami::mds {
 
-std::string inode_key(fsns::NodeId parent, std::string_view name) {
-  std::string key;
-  key.reserve(8 + name.size());
-  std::uint64_t p = parent;
+namespace {
+
+/// Writes inode_key(parent, name) into `key`, reusing its capacity.
+void write_inode_key(std::string& key, fsns::NodeId parent,
+                     std::string_view name) {
+  key.clear();
+  const std::uint64_t p = parent;
   for (int shift = 56; shift >= 0; shift -= 8) {
     key.push_back(static_cast<char>((p >> shift) & 0xff));
   }
   key.append(name);
+}
+
+}  // namespace
+
+std::string inode_key(fsns::NodeId parent, std::string_view name) {
+  std::string key;
+  key.reserve(8 + name.size());
+  write_inode_key(key, parent, name);
   return key;
 }
 
@@ -47,11 +58,14 @@ bool InodeStore::lookup(const fsns::DirTree& tree, fsns::NodeId node,
                         fsns::InodeAttr* attr) const {
   const auto& n = tree.node(node);
   const fsns::NodeId parent = node == fsns::kRootNode ? fsns::kRootNode : n.parent;
-  auto result = db_.get(inode_key(parent, n.name));
-  if (!result.is_ok()) return false;
+  // Per-thread key and value buffers: a warm lookup allocates nothing.
+  thread_local std::string key;
+  thread_local std::string value;
+  write_inode_key(key, parent, n.name);
+  if (!db_.get(key, &value)) return false;
   if (attr != nullptr) {
     bool is_dir = false;
-    if (!decode_inode(result.value(), *attr, is_dir)) return false;
+    if (!decode_inode(value, *attr, is_dir)) return false;
   }
   return true;
 }

@@ -52,7 +52,7 @@ TEST(MemTable, PutGetOverwrite) {
   mt.put("a", "1", 1);
   mt.put("b", "2", 2);
   auto e = mt.get("a");
-  ASSERT_TRUE(e.has_value());
+  ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->value, "1");
   mt.put("a", "updated", 3);
   e = mt.get("a");
@@ -66,7 +66,7 @@ TEST(MemTable, TombstoneShadowsValue) {
   mt.put("a", "1", 1);
   mt.del("a", 2);
   auto e = mt.get("a");
-  ASSERT_TRUE(e.has_value());
+  ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->tombstone);
 }
 
@@ -109,10 +109,10 @@ std::vector<std::pair<std::string, Entry>> make_entries(
 
 TEST(SortedRun, GetHitAndMiss) {
   SortedRun run(make_entries({{"a", "1"}, {"c", "3"}, {"e", "5"}}));
-  ASSERT_TRUE(run.get("c").has_value());
+  ASSERT_NE(run.get("c"), nullptr);
   EXPECT_EQ(run.get("c")->value, "3");
-  EXPECT_FALSE(run.get("b").has_value());
-  EXPECT_FALSE(run.get("z").has_value());
+  EXPECT_EQ(run.get("b"), nullptr);
+  EXPECT_EQ(run.get("z"), nullptr);
   EXPECT_EQ(run.min_key(), "a");
   EXPECT_EQ(run.max_key(), "e");
 }
