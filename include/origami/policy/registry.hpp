@@ -126,6 +126,9 @@ struct Entry {
   MetricsSchema metrics;
   BalancerFactory make;
   LiveFactory make_live;  ///< null when the policy has no live-mode form
+  /// The declared params the live form reads; `make_live` rejects a spec
+  /// that sets any other, instead of running as if it were unset.
+  std::vector<std::string> live_params;
 };
 
 /// The policy registry. `builtin()` carries every policy shipped in-tree;
@@ -149,6 +152,9 @@ class Registry {
   /// Parse + validate + construct in one step.
   [[nodiscard]] common::Result<std::unique_ptr<cluster::Balancer>> make(
       const std::string& spec, const PolicyContext& ctx) const;
+  /// Live-mode construction. Besides `validate`, fails with
+  /// invalid_argument naming every param the spec sets that the live form
+  /// does not read (see Entry::live_params).
   [[nodiscard]] common::Result<std::unique_ptr<LivePolicy>> make_live(
       const std::string& spec, const PolicyContext& ctx) const;
 

@@ -1,5 +1,6 @@
 #include "origami/policy/registry.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -208,6 +209,7 @@ Registry build_registry() {
           ctx.benefit_model, cost::CostModel(cost_params), op,
           trigger_from(p, kLegacyTrigger)));
     };
+    e.live_params = {"trigger", "budget", "min-ops", "min-benefit"};
     e.make_live = [](const ParamMap& p, const PolicyContext& ctx) {
       LiveOrigamiPolicy::Params lp;
       lp.min_predicted_benefit = p.get_double("min-benefit", 0.002);
@@ -290,6 +292,7 @@ Registry build_registry() {
           static_cast<std::uint64_t>(p.get_int("max-inodes", 100'000));
       return ok_balancer(new GreedySpillBalancer(gp));
     };
+    e.live_params = {"trigger", "alpha", "patience", "budget", "min-ops"};
     e.make_live = [](const ParamMap& p, const PolicyContext&) {
       return ok_live(new LiveGreedySpillPolicy(live_params_from(p, 0.10, 8)));
     };
@@ -320,6 +323,7 @@ Registry build_registry() {
           static_cast<std::uint32_t>(p.get_int("levels", 2));
       return ok_balancer(new HashRepartitionBalancer(hp));
     };
+    e.live_params = {"trigger", "alpha", "patience", "budget"};
     e.make_live = [](const ParamMap& p, const PolicyContext&) {
       return ok_live(
           new LiveHashRepartitionPolicy(live_params_from(p, 0.10, 32)));
@@ -359,6 +363,7 @@ Registry build_registry() {
           static_cast<std::uint64_t>(p.get_int("max-inodes", 100'000));
       return ok_balancer(new LoadFractionBalancer(fp));
     };
+    e.live_params = {"trigger", "alpha", "patience", "budget", "min-ops"};
     e.make_live = [](const ParamMap& p, const PolicyContext&) {
       return ok_live(
           new LiveLoadFractionPolicy(live_params_from(p, 0.10, 8)));
@@ -501,6 +506,24 @@ common::Result<std::unique_ptr<LivePolicy>> Registry::make_live(
     return common::Status::invalid_argument("policy '" + entry->name +
                                             "' has no live-mode form");
   }
+  std::string ignored;
+  for (const auto& kv : parsed.value().params) {
+    const auto& live = entry->live_params;
+    if (std::find(live.begin(), live.end(), kv.first) != live.end()) continue;
+    if (!ignored.empty()) ignored += ", ";
+    ignored += "'" + kv.first + "'";
+  }
+  if (!ignored.empty()) {
+    std::string reads;
+    for (const std::string& key : entry->live_params) {
+      if (!reads.empty()) reads += ", ";
+      reads += key;
+    }
+    return common::Status::invalid_argument(
+        "policy '" + entry->name + "' live form ignores " + ignored +
+        (reads.empty() ? " (it reads no parameters)"
+                       : " (it reads: " + reads + ")"));
+  }
   return entry->make_live(ParamMap(std::move(parsed).value().params), ctx);
 }
 
@@ -512,7 +535,15 @@ std::string Registry::describe() const {
       out << "    model: " << (e.needs_benefit_model ? "benefit" : "popularity")
           << " (trained on a sibling trace before the run)\n";
     }
-    out << "    modes: epoch" << (e.make_live ? " + live" : "") << "\n";
+    out << "    modes: epoch";
+    if (e.make_live) {
+      out << " + live (live reads: ";
+      for (std::size_t i = 0; i < e.live_params.size(); ++i) {
+        out << (i > 0 ? ", " : "") << e.live_params[i];
+      }
+      out << (e.live_params.empty() ? "no params)" : ")");
+    }
+    out << "\n";
     if (e.params.empty()) {
       out << "    params: (none)\n";
     } else {

@@ -5,6 +5,7 @@
 // hook ordering, and the shared TriggerSmoother.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -153,6 +154,38 @@ TEST(PolicyRegistry, StaticPoliciesHaveNoLiveForm) {
   ASSERT_FALSE(made.is_ok());
   EXPECT_NE(made.status().to_string().find("no live-mode form"),
             std::string::npos);
+}
+
+TEST(PolicyRegistry, LiveFormRejectsParamsItIgnores) {
+  policy::PolicyContext ctx;
+  const auto made =
+      Registry::builtin().make_live("origami:alpha=0.5,patience=2", ctx);
+  ASSERT_FALSE(made.is_ok());
+  EXPECT_EQ(made.status().code(), common::StatusCode::kInvalidArgument);
+  const std::string msg = made.status().to_string();
+  EXPECT_NE(msg.find("'alpha'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'patience'"), std::string::npos) << msg;
+  // The epoch form still takes them.
+  EXPECT_TRUE(Registry::builtin().validate("origami:alpha=0.5").is_ok());
+  EXPECT_FALSE(Registry::builtin().make_live("hash-repart:levels=3", ctx).is_ok());
+
+  // Every param a live form reads is one its entry declares.
+  for (const policy::Entry& e : Registry::builtin().entries()) {
+    for (const std::string& key : e.live_params) {
+      EXPECT_TRUE(std::any_of(
+          e.params.begin(), e.params.end(),
+          [&](const policy::ParamSpec& p) { return p.key == key; }))
+          << e.name << ":" << key;
+    }
+  }
+  // The live specs the benches and tests construct stay valid.
+  for (const char* spec :
+       {"single", "origami", "greedy-spill", "hash-repart", "load-frac",
+        "origami:min-benefit=0", "origami:min-ops=32,min-benefit=0",
+        "origami:min-ops=8,min-benefit=0,trigger=0.6",
+        "greedy-spill:trigger=0.2,alpha=0.5,patience=2,budget=4,min-ops=8"}) {
+    EXPECT_TRUE(Registry::builtin().make_live(spec, ctx).is_ok()) << spec;
+  }
 }
 
 // ------------------------------------------------------ trigger smoother --
