@@ -9,7 +9,8 @@
 #                a simulator loves to hide)
 #   chaos        fault/recovery tests and origami_sim sweeps on the ASan +
 #                UBSan build
-#   bench-smoke  bench and perfbench smoke runs on the Release build
+#   bench-smoke  bench, micro-benchmark and perfbench smoke runs on the
+#                Release build
 #   tsan         ThreadSanitizer over both concurrent planes
 #
 # Usage: tools/ci.sh [stage|all] [build-root]   (defaults: all, ci-build)
@@ -247,7 +248,17 @@ stage_bench_smoke() {
   echo "=== [bench-smoke] build ==="
   cmake --build "${BUILD_ROOT}/release" -j "${JOBS}" --target bench_pipeline \
     fig12_async_commit fig13_policy_faceoff fig14_saturation \
-    fig15_workload_families
+    fig15_workload_families micro_kvstore micro_fs
+
+  # Substrate micro-benchmarks (google-benchmark), a short run of the point
+  # read and write cases: keeps the per-layer numbers the performance
+  # ledger quotes (BM_KvPut, BM_KvGetHit, BM_FsStat) building and running.
+  # Timings are printed, never gated.
+  echo "=== [bench-smoke] micro_kvstore / micro_fs smoke ==="
+  "${BUILD_ROOT}/release/bench/micro_kvstore" \
+    --benchmark_filter='^BM_Kv(Put|GetHit)$' --benchmark_min_time=0.05
+  "${BUILD_ROOT}/release/bench/micro_fs" \
+    --benchmark_filter='^BM_Fs(Stat|CreateUnlink)$' --benchmark_min_time=0.05
 
   # Smoke-run the pipeline scaling bench from the release build: exercises the
   # parallel analysis plane end-to-end, verifies thread-count determinism and
