@@ -479,6 +479,16 @@ common::Status check_spec(const Registry& r, const PolicySpec& spec,
   return common::Status::ok();
 }
 
+/// "live reads: trigger, budget" — the params the live form of `e` reads.
+std::string live_reads(const Entry& e) {
+  std::string out = "live reads: ";
+  if (e.live_params.empty()) return out + "no params";
+  for (std::size_t i = 0; i < e.live_params.size(); ++i) {
+    out += (i > 0 ? ", " : "") + e.live_params[i];
+  }
+  return out;
+}
+
 }  // namespace
 
 common::Status Registry::validate(const std::string& spec) const {
@@ -507,22 +517,16 @@ common::Result<std::unique_ptr<LivePolicy>> Registry::make_live(
                                             "' has no live-mode form");
   }
   std::string ignored;
-  for (const auto& kv : parsed.value().params) {
+  for (const auto& [key, value] : parsed.value().params) {
     const auto& live = entry->live_params;
-    if (std::find(live.begin(), live.end(), kv.first) != live.end()) continue;
-    if (!ignored.empty()) ignored += ", ";
-    ignored += "'" + kv.first + "'";
+    if (std::find(live.begin(), live.end(), key) == live.end()) {
+      ignored += (ignored.empty() ? "'" : ", '") + key + "'";
+    }
   }
   if (!ignored.empty()) {
-    std::string reads;
-    for (const std::string& key : entry->live_params) {
-      if (!reads.empty()) reads += ", ";
-      reads += key;
-    }
-    return common::Status::invalid_argument(
-        "policy '" + entry->name + "' live form ignores " + ignored +
-        (reads.empty() ? " (it reads no parameters)"
-                       : " (it reads: " + reads + ")"));
+    return common::Status::invalid_argument("policy '" + entry->name +
+                                            "' live form ignores " + ignored +
+                                            " (" + live_reads(*entry) + ")");
   }
   return entry->make_live(ParamMap(std::move(parsed).value().params), ctx);
 }
@@ -536,13 +540,7 @@ std::string Registry::describe() const {
           << " (trained on a sibling trace before the run)\n";
     }
     out << "    modes: epoch";
-    if (e.make_live) {
-      out << " + live (live reads: ";
-      for (std::size_t i = 0; i < e.live_params.size(); ++i) {
-        out << (i > 0 ? ", " : "") << e.live_params[i];
-      }
-      out << (e.live_params.empty() ? "no params)" : ")");
-    }
+    if (e.make_live) out << " + live (" << live_reads(e) << ")";
     out << "\n";
     if (e.params.empty()) {
       out << "    params: (none)\n";
