@@ -130,6 +130,11 @@ TEST(MpmcQueue, ContendedPopTryPopCloseSweep) {
     }
   });
 
+  // Close mid-stream, once a producer is running: a bare 1 ms sleep let
+  // close() win outright on a loaded host, so nothing was ever accepted.
+  while (accepted.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   q.close();
   for (int t = 0; t < kProducers; ++t) threads[t].join();
